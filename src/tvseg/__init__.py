@@ -11,23 +11,21 @@ and a multi-trial evaluation protocol are included for comparison.
 __version__ = "0.1.0"
 
 from .data import (LabeledImage, SparseLabelSet, SynthConfig, UNLABELED,
-                   extract_patch, load_dataset, load_image, load_labels,
-                   load_prob_map, load_sparse, merge_sparse, pad_mirror,
+                   load_dataset, load_image, load_labels, load_prob_map,
+                   load_sparse, merge_sparse, pad_mirror,
                    sample_sparse_labels, save_dataset, save_image,
                    save_labels, save_prob_map, save_sparse, synth_dataset,
                    synth_generate)
 from .errors import NumericalError
 from .evaluate import (ExperimentConfig, ExperimentResult, ExperimentRow,
                        emit_table, pixel_error, run_experiment)
-from .grids import (SOBEL_X, SOBEL_X_VEC, SOBEL_Y, SOBEL_Y_VEC,
-                    adjoint_scatter, correlate_valid, sobel_x, sobel_y)
 from .mrf import MrfConfig, argmax_labels, icm_smooth, potts_energy
 from .network import (LayerSpec, Network, default_specs, load_checkpoint,
-                      save_checkpoint, sgd_step, wide_specs)
+                      save_checkpoint, sgd_step)
 from .pnm import PnmError, read_pnm, write_pnm
-from .tv_loss import (SpatialLoss, TotalVariation, extract_neighborhood,
-                      tv_grad_image, tv_theta, tv_theta_coeffs,
-                      tv_value_image, validate_prob_map)
+from .tv_loss import (SOBEL_X, SOBEL_X_VEC, SOBEL_Y, SOBEL_Y_VEC,
+                      TotalVariation, tv_grad_image, tv_theta,
+                      tv_theta_coeffs, tv_value_image, validate_prob_map)
 from .trainer import (TrainConfig, TrainReport, predict_image,
                       supervised_grad, train, unsupervised_grad)
 
@@ -35,16 +33,15 @@ __all__ = [
     "ExperimentConfig", "ExperimentResult", "ExperimentRow", "LabeledImage",
     "LayerSpec", "MrfConfig", "Network", "NumericalError", "PnmError",
     "SOBEL_X", "SOBEL_X_VEC", "SOBEL_Y", "SOBEL_Y_VEC", "SparseLabelSet",
-    "SpatialLoss", "SynthConfig", "TotalVariation", "TrainConfig",
-    "TrainReport", "UNLABELED", "adjoint_scatter", "argmax_labels",
-    "correlate_valid", "default_specs", "emit_table", "extract_neighborhood",
-    "extract_patch", "icm_smooth", "load_checkpoint", "load_dataset",
-    "load_image", "load_labels", "load_prob_map", "load_sparse",
-    "merge_sparse", "pad_mirror", "pixel_error", "potts_energy",
-    "predict_image", "read_pnm", "run_experiment", "sample_sparse_labels",
-    "save_checkpoint", "save_dataset", "save_image", "save_labels",
-    "save_prob_map", "save_sparse", "sgd_step", "sobel_x", "sobel_y",
-    "supervised_grad", "synth_dataset", "synth_generate", "train",
-    "tv_grad_image", "tv_theta", "tv_theta_coeffs", "tv_value_image",
-    "unsupervised_grad", "validate_prob_map", "wide_specs", "write_pnm",
+    "SynthConfig", "TotalVariation", "TrainConfig", "TrainReport",
+    "UNLABELED", "argmax_labels", "default_specs", "emit_table",
+    "icm_smooth", "load_checkpoint", "load_dataset", "load_image",
+    "load_labels", "load_prob_map", "load_sparse", "merge_sparse",
+    "pad_mirror", "pixel_error", "potts_energy", "predict_image", "read_pnm",
+    "run_experiment", "sample_sparse_labels", "save_checkpoint",
+    "save_dataset", "save_image", "save_labels", "save_prob_map",
+    "save_sparse", "sgd_step", "supervised_grad", "synth_dataset",
+    "synth_generate", "train", "tv_grad_image", "tv_theta",
+    "tv_theta_coeffs", "tv_value_image", "unsupervised_grad",
+    "validate_prob_map", "write_pnm",
 ]

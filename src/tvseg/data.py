@@ -77,13 +77,6 @@ class SparseLabelSet:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def image_ids(self) -> list[str]:
-        out = []
-        for image_id, _, _, _ in self.entries:
-            if image_id not in out:
-                out.append(image_id)
-        return out
-
 
 def sample_sparse_labels(dense, n: int, seed: int,
                          image_id: str = "image") -> SparseLabelSet:
@@ -118,43 +111,6 @@ def merge_sparse(sets) -> SparseLabelSet:
 
 
 # -- patch extraction ---------------------------------------------------------
-
-
-def reflect_index(i: int, n: int) -> int:
-    """Mirror an index about the array borders (edge value repeated)."""
-    if n < 1:
-        raise ValueError("empty axis")
-    if n == 1:
-        return 0
-    period = 2 * n
-    i %= period
-    return period - 1 - i if i >= n else i
-
-
-def _reflected_range(start: int, count: int, n: int) -> np.ndarray:
-    return np.array([reflect_index(start + t, n) for t in range(count)])
-
-
-def extract_patch(img, center: tuple[int, int], patch_size: int) -> np.ndarray:
-    """Window of patch_size**2 pixels centered at ``center``.
-
-    Out-of-bounds positions are filled by mirror reflection about the
-    image border.  Accepts a LabeledImage or an (H, W, C) array and
-    returns (patch_size, patch_size, C).
-    """
-    image = img.image if isinstance(img, LabeledImage) else np.asarray(img, dtype=np.float64)
-    if image.ndim == 2:
-        image = image[:, :, None]
-    if patch_size < 1 or patch_size % 2 == 0:
-        raise ValueError(f"patch_size must be odd and positive, got {patch_size}")
-    h, w = image.shape[:2]
-    r, c = center
-    if not (0 <= r < h and 0 <= c < w):
-        raise ValueError(f"center {center} out of bounds for {h}x{w} image")
-    half = patch_size // 2
-    rows = _reflected_range(r - half, patch_size, h)
-    cols = _reflected_range(c - half, patch_size, w)
-    return image[np.ix_(rows, cols)]
 
 
 def pad_mirror(image: np.ndarray, margin: int) -> np.ndarray:
@@ -306,6 +262,9 @@ def save_prob_map(prefix, probs: np.ndarray) -> list[Path]:
     p = np.asarray(probs, dtype=np.float64)
     if p.ndim != 3:
         raise ValueError(f"probability map must be (H, W, K), got {p.shape}")
+    # check before the first file is written, so a bad map leaves none behind
+    if not np.isfinite(p).all() or p.min(initial=0) < 0 or p.max(initial=0) > 1:
+        raise ValueError("probability map must be finite and in [0, 1]")
     paths = []
     for k in range(p.shape[2]):
         out = Path(f"{prefix}_class{k}.pgm")

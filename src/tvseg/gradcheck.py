@@ -1,4 +1,4 @@
-"""Finite-difference and adjoint verification suites.
+"""Finite-difference and scatter verification suites.
 
 Every suite checks a fast analytic path against an oracle coded from
 the raw formulas in this file (literal kernel vectors, per-window
@@ -16,14 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import pad_mirror
-from .grids import adjoint_scatter, correlate_valid
 from .network import LayerSpec, Network
 from .rng import make_rng
 from .trainer import _neighbor_patches, supervised_grad, unsupervised_grad
 from .tv_loss import tv_grad_image, tv_theta, tv_theta_coeffs, tv_value_image
 
 # row-major forms of the two 3x3 derivative kernels, written out so the
-# oracles here do not depend on the grids module's constants
+# oracles here do not depend on the tv_loss module's constants
 _XBAR = np.array([-1.0, -2.0, -1.0, 0.0, 0.0, 0.0, 1.0, 2.0, 1.0])
 _YBAR = np.array([-1.0, 0.0, 1.0, -2.0, 0.0, 2.0, -1.0, 0.0, 1.0])
 
@@ -126,25 +125,6 @@ def check_tv_grad_directional(seed: int = 0, maps: int = 10) -> CheckResult:
     return CheckResult("tv_grad_image_vs_directional_fd", worst <= 1e-5, worst)
 
 
-def check_adjoint(seed: int = 0, trials: int = 100) -> CheckResult:
-    """<corr(g, k), c> == <g, adjoint(c, k)> for random grids and kernels."""
-    from .grids import SOBEL_X, SOBEL_Y
-    rng = make_rng(seed, 104)
-    worst = 0.0
-    for t in range(trials):
-        hh = int(rng.integers(3, 12))
-        ww = int(rng.integers(3, 12))
-        g = rng.standard_normal((hh, ww))
-        c = rng.standard_normal((hh - 2, ww - 2))
-        kernels = [SOBEL_X, SOBEL_Y, rng.standard_normal((3, 3))]
-        k = kernels[t % 3]
-        a = float((correlate_valid(g, k) * c).sum())
-        b = float((g * adjoint_scatter(c, k, hh, ww)).sum())
-        err = abs(a - b) / max(1.0, abs(a), abs(b))
-        worst = max(worst, err)
-    return CheckResult("adjoint_identity", worst <= 1e-10, worst)
-
-
 def _tiny_net(seed: int, patch: int = 9, k: int = 2) -> Network:
     specs = (LayerSpec("conv3x3", 2), LayerSpec("relu"), LayerSpec("maxpool2x2"),
              LayerSpec("dense", 8), LayerSpec("relu"), LayerSpec("dense", k),
@@ -233,7 +213,6 @@ def run_all(seed: int = 0) -> list[CheckResult]:
         check_theta_coeffs(seed),
         check_tv_grad_scatter(seed),
         check_tv_grad_directional(seed),
-        check_adjoint(seed),
     ]
     results.extend(check_supervised_grads(seed))
     results.append(check_unsupervised_grad(seed))

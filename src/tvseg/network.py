@@ -10,15 +10,13 @@ Layer kinds: ``conv3x3`` (valid padding, stride 1), ``relu``,
 and a final ``softmax``.  The softmax layer is pure normalization, so
 the layer feeding it must output exactly K units.
 
-Gradient convention: ``backward`` takes the gradient of a scalar loss
-with respect to the softmax *output probabilities* and applies the
-softmax Jacobian internally.  This is what spatial losses on
-probability maps produce; supervised losses use the same entry point.
-
-Batched variants (``batch_forward`` / ``batch_backward``) process
-(N, patch, patch, channels) stacks; the batched backward returns the
-parameter gradient summed over the batch with a fixed reduction order,
-so results are reproducible run to run.
+``batch_forward`` classifies an (N, patch, patch, channels) stack.
+``batch_backward`` takes the gradient of a scalar loss with respect to
+the softmax *output probabilities*, applies the softmax Jacobian
+internally, and returns the parameter gradient summed over the batch
+with a fixed reduction order, so results are reproducible run to run.
+This is what spatial losses on probability maps produce; supervised
+losses use the same entry point.
 """
 
 import json
@@ -58,20 +56,6 @@ def default_specs(num_classes: int) -> tuple[LayerSpec, ...]:
         LayerSpec("dense", num_classes),
         LayerSpec("softmax"),
     )
-
-
-def wide_specs(num_classes: int) -> tuple[LayerSpec, ...]:
-    """Four 64-map conv blocks and a 512-unit hidden layer.
-
-    Needs patches of at least 47x47 to leave a positive spatial size
-    after the four pooling steps.
-    """
-    specs: list[LayerSpec] = []
-    for _ in range(4):
-        specs += [LayerSpec("conv3x3", 64), LayerSpec("relu"), LayerSpec("maxpool2x2")]
-    specs += [LayerSpec("dense", 512), LayerSpec("relu"),
-              LayerSpec("dense", num_classes), LayerSpec("softmax")]
-    return tuple(specs)
 
 
 def specs_to_json(specs) -> list:
@@ -329,15 +313,6 @@ class Network:
             caches.append(cache)
         return x, ForwardCache(self._version, x.shape[0], caches)
 
-    def forward(self, patch) -> tuple[np.ndarray, ForwardCache]:
-        """Classify one (patch, patch, channels) window.
-
-        Returns the length-K probability vector and the activation cache
-        for ``backward``.
-        """
-        probs, cache = self.batch_forward(np.asarray(patch, dtype=np.float64)[None])
-        return probs[0], cache
-
     def batch_backward(self, cache: ForwardCache, grad_out) -> np.ndarray:
         """Parameter gradient of <grad_out, probs> summed over the batch.
 
@@ -358,13 +333,6 @@ class Network:
                 reversed(p_views), reversed(g_views)):
             carry = layer.backward(carry, lc, w, gw, gb)
         return grads
-
-    def backward(self, cache: ForwardCache, grad_out) -> np.ndarray:
-        """Single-sample variant: grad_out has shape (K,)."""
-        g = np.asarray(grad_out, dtype=np.float64)
-        if g.shape == (self.num_classes,):
-            g = g[None]
-        return self.batch_backward(cache, g)
 
 
 def sgd_step(net: Network, grads: np.ndarray, lr: float, weight_decay: float = 0.0) -> Network:
@@ -410,6 +378,8 @@ def load_checkpoint(path) -> Network:
         params = np.array(data["params"], dtype=np.float64)
     if meta.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {meta.get('version')!r}")
+    if not np.isfinite(params).all():
+        raise ValueError(f"{path}: checkpoint holds non-finite parameters")
     return Network(
         specs_from_json(meta["specs"]),
         patch_size=meta["patch_size"],

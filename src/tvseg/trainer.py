@@ -22,11 +22,13 @@ from .data import LabeledImage, SparseLabelSet, pad_mirror
 from .errors import NumericalError
 from .network import LayerSpec, Network, default_specs, sgd_step
 from .rng import ROLE_INIT, ROLE_SUP_DRAW, ROLE_UNSUP_DRAW, make_rng, mix_seed
-from .tv_loss import SpatialLoss, TotalVariation
+from .tv_loss import TotalVariation
 
 SUPERVISED_LOSSES = ("mse", "cross_entropy")
 
 _PROB_FLOOR = 1e-12  # clamp for log/reciprocal of tiny probabilities
+
+_TV = TotalVariation()
 
 
 @dataclass(frozen=True)
@@ -122,9 +124,8 @@ def _neighbor_patches(padded: np.ndarray, row: int, col: int, patch_size: int) -
     return out
 
 
-def unsupervised_grad(net: Network, image, center: tuple[int, int],
-                      loss: SpatialLoss | None = None) -> tuple[float, np.ndarray]:
-    """Spatial penalty of the output neighborhood at ``center`` and its
+def unsupervised_grad(net: Network, image, center: tuple[int, int]) -> tuple[float, np.ndarray]:
+    """TV penalty of the output neighborhood at ``center`` and its
     parameter gradient.
 
     Runs the classifier on the nine patches centered on the 3x3
@@ -132,7 +133,6 @@ def unsupervised_grad(net: Network, image, center: tuple[int, int],
     penalty to each class channel, and backpropagates the per-neighbor
     coefficients through the nine forward passes.
     """
-    loss = loss or TotalVariation()
     img = image.image if isinstance(image, LabeledImage) else np.asarray(image, dtype=np.float64)
     if img.ndim == 2:
         img = img[:, :, None]
@@ -146,8 +146,8 @@ def unsupervised_grad(net: Network, image, center: tuple[int, int],
     value = 0.0
     grad_out = np.empty_like(probs)
     for ch in range(net.num_classes):
-        value += loss.theta(probs[:, ch])
-        grad_out[:, ch] = loss.theta_coeffs(probs[:, ch])
+        value += _TV.theta(probs[:, ch])
+        grad_out[:, ch] = _TV.theta_coeffs(probs[:, ch])
     return float(value), net.batch_backward(cache, grad_out)
 
 
@@ -164,8 +164,7 @@ def _check_sparse(images: dict[str, LabeledImage], sparse: SparseLabelSet,
 
 
 def train(images: dict[str, LabeledImage], sparse: SparseLabelSet,
-          cfg: TrainConfig, loss: SpatialLoss | None = None,
-          net: Network | None = None) -> tuple[Network, TrainReport]:
+          cfg: TrainConfig, net: Network | None = None) -> tuple[Network, TrainReport]:
     """Run semi-supervised SGD and return the trained network and report.
 
     ``images`` maps image ids to LabeledImages; ``sparse`` entries
@@ -176,7 +175,6 @@ def train(images: dict[str, LabeledImage], sparse: SparseLabelSet,
         raise ValueError("need at least one image")
     if len(sparse) == 0:
         raise ValueError("sparse label set is empty")
-    loss = loss or TotalVariation()
     channels = {li.channels for li in images.values()}
     if len(channels) != 1:
         raise ValueError("all images must share one channel count")
@@ -242,8 +240,8 @@ def train(images: dict[str, LabeledImage], sparse: SparseLabelSet,
             coeffs = np.empty_like(nb)
             for bi in range(cfg.unsup_batch):
                 for ch in range(net.num_classes):
-                    unsup_value += loss.theta(nb[bi, :, ch])
-                    coeffs[bi, :, ch] = loss.theta_coeffs(nb[bi, :, ch])
+                    unsup_value += _TV.theta(nb[bi, :, ch])
+                    coeffs[bi, :, ch] = _TV.theta_coeffs(nb[bi, :, ch])
             unsup_value /= cfg.unsup_batch
             scale = cfg.alpha / cfg.unsup_batch
             grads += net.batch_backward(
@@ -266,7 +264,8 @@ def predict_image(net: Network, image, chunk: int = 2048) -> np.ndarray:
     """Classify every pixel by sliding the patch window over the image.
 
     Returns an (H, W, K) probability map; borders use mirror padding,
-    so prediction at any pixel equals ``forward`` on its extracted patch.
+    so prediction at (r, c) equals ``batch_forward`` on the patch
+    ``pad_mirror(image, P // 2)[r:r+P, c:c+P]``.
     """
     img = image.image if isinstance(image, LabeledImage) else np.asarray(image, dtype=np.float64)
     if img.ndim == 2:

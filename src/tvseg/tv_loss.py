@@ -1,62 +1,54 @@
-"""Spatial smoothness losses on classifier probability maps.
+"""Total-variation smoothness loss on classifier probability maps.
 
-A spatial loss scores the 3x3 neighborhood of a pixel in the output
-probability map and exposes the per-neighbor coefficients needed to
-backpropagate that score through the classifier.  The total-variation
-instance penalizes the L1 norm of the Sobel gradient of each class
-channel, which pushes training toward piecewise constant maps.
+The penalty of one pixel is the L1 norm of the Sobel gradient of each
+class channel over its 3x3 output neighborhood; its per-neighbor
+subgradient coefficients backpropagate the penalty through the
+classifier and push training toward piecewise constant maps.
 
 Neighborhood convention: the nine values of a window are ordered
 row-major, top-left to bottom-right, matching the vectorized Sobel
-kernels ``SOBEL_X_VEC`` and ``SOBEL_Y_VEC``.
+kernels ``SOBEL_X_VEC`` and ``SOBEL_Y_VEC``.  ``SOBEL_X`` responds to
+variation along rows (vertical image gradients), ``SOBEL_Y`` along
+columns.
 
 Probability maps are (H, W, K) float64 arrays.  The whole-image
 functions treat channels independently and sum over them; they accept
 any finite channel stack, normalized or not.
 """
 
-from abc import ABC, abstractmethod
-
 import numpy as np
 
-from .grids import SOBEL_X, SOBEL_X_VEC, SOBEL_Y, SOBEL_Y_VEC, adjoint_scatter, sobel_x, sobel_y
+SOBEL_X = np.array([[-1.0, -2.0, -1.0],
+                    [0.0, 0.0, 0.0],
+                    [1.0, 2.0, 1.0]])
+SOBEL_Y = np.array([[-1.0, 0.0, 1.0],
+                    [-2.0, 0.0, 2.0],
+                    [-1.0, 0.0, 1.0]])
+
+SOBEL_X_VEC = SOBEL_X.ravel().copy()
+SOBEL_Y_VEC = SOBEL_Y.ravel().copy()
 
 
-class SpatialLoss(ABC):
-    """Interface for per-window spatial penalties.
-
-    ``theta`` maps the row-major 9-vector of one channel's window to a
-    scalar; ``theta_coeffs`` returns its (sub)gradient with respect to
-    the nine values.  The trainer consumes only these two hooks, so new
-    penalties (e.g. curvilinear-structure losses) plug in without
-    touching the training loop.
-    """
-
-    @abstractmethod
-    def theta(self, values: np.ndarray) -> float:
-        """Penalty of one window; ``values`` has shape (9,)."""
-
-    @abstractmethod
-    def theta_coeffs(self, values: np.ndarray) -> np.ndarray:
-        """d(theta)/d(values), shape (9,); a subgradient at kinks."""
+def _sobel(windows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gx and Gy of row-major (..., 9) windows."""
+    # The Sobel taps sum to zero, so shifting each window by its first
+    # value leaves the dot products unchanged up to rounding and makes
+    # constant windows hit exact zero instead of accumulated roundoff.
+    v = windows - windows[..., :1]
+    return v @ SOBEL_X_VEC, v @ SOBEL_Y_VEC
 
 
-class TotalVariation(SpatialLoss):
+class TotalVariation:
     """|Gx| + |Gy| with Sobel gradients; subgradient uses sign(0) = 0."""
 
     def theta(self, values: np.ndarray) -> float:
-        v = _window_vector(values)
-        # The Sobel taps sum to zero, so shifting by v[0] leaves the dot
-        # products unchanged up to rounding and makes constant windows
-        # hit exact zero instead of accumulated roundoff.
-        v = v - v[0]
-        return abs(SOBEL_X_VEC @ v) + abs(SOBEL_Y_VEC @ v)
+        """Penalty of one window; ``values`` has shape (9,)."""
+        gx, gy = _sobel(_window_vector(values))
+        return abs(gx) + abs(gy)
 
     def theta_coeffs(self, values: np.ndarray) -> np.ndarray:
-        v = _window_vector(values)
-        v = v - v[0]
-        gx = SOBEL_X_VEC @ v
-        gy = SOBEL_Y_VEC @ v
+        """d(theta)/d(values), shape (9,); a subgradient at kinks."""
+        gx, gy = _sobel(_window_vector(values))
         return np.sign(gx) * SOBEL_X_VEC + np.sign(gy) * SOBEL_Y_VEC
 
 
@@ -116,17 +108,21 @@ def _channel_stack(p) -> np.ndarray:
         raise ValueError(f"expected (H, W) or (H, W, K) field, got {a.shape}")
     if a.shape[0] < 3 or a.shape[1] < 3:
         raise ValueError(f"field too small for a 3x3 window: {a.shape[:2]}")
+    if not np.isfinite(a).all():
+        raise ValueError("field contains non-finite values")
     return a
+
+
+def _image_sobel(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gx and Gy of every valid window of every channel, (H-2, W-2, K)."""
+    windows = np.lib.stride_tricks.sliding_window_view(a, (3, 3), axis=(0, 1))
+    return _sobel(windows.reshape(windows.shape[:3] + (9,)))
 
 
 def tv_value_image(p) -> float:
     """Total variation of a channel stack: sum over channels and valid pixels."""
-    a = _channel_stack(p)
-    total = 0.0
-    for k in range(a.shape[2]):
-        total += np.abs(sobel_x(a[:, :, k])).sum()
-        total += np.abs(sobel_y(a[:, :, k])).sum()
-    return float(total)
+    gx, gy = _image_sobel(_channel_stack(p))
+    return float(np.abs(gx).sum() + np.abs(gy).sum())
 
 
 def tv_grad_image(p) -> np.ndarray:
@@ -136,38 +132,14 @@ def tv_grad_image(p) -> np.ndarray:
     onto the pixels it covers; returned shape matches the input stack.
     """
     a = _channel_stack(p)
-    h, w, num_ch = a.shape
-    grad = np.empty_like(a)
-    for k in range(num_ch):
-        gx = sobel_x(a[:, :, k])
-        gy = sobel_y(a[:, :, k])
-        grad[:, :, k] = (adjoint_scatter(np.sign(gx), SOBEL_X, h, w)
-                         + adjoint_scatter(np.sign(gy), SOBEL_Y, h, w))
+    h, w = a.shape[:2]
+    gx, gy = _image_sobel(a)
+    coeffs = (np.sign(gx)[..., None] * SOBEL_X_VEC
+              + np.sign(gy)[..., None] * SOBEL_Y_VEC)
+    grad = np.zeros_like(a)
+    for t in range(9):
+        i, j = divmod(t, 3)
+        grad[i:i + h - 2, j:j + w - 2] += coeffs[..., t]
     if np.asarray(p).ndim == 2:
         return grad[:, :, 0]
     return grad
-
-
-def extract_neighborhood(p, row: int, col: int) -> np.ndarray:
-    """Row-major 3x3 neighborhood of (row, col), shape (9, K).
-
-    (row, col) must be at least one pixel from every border.
-    """
-    a = _channel_stack(p)
-    h, w, num_ch = a.shape
-    if not (1 <= row < h - 1 and 1 <= col < w - 1):
-        raise ValueError(f"center ({row}, {col}) too close to border of {h}x{w} map")
-    return a[row - 1:row + 2, col - 1:col + 2, :].reshape(9, num_ch)
-
-
-def spatial_value_image(p, loss: SpatialLoss) -> float:
-    """Sum a generic per-window penalty over all valid windows and channels."""
-    a = _channel_stack(p)
-    h, w, num_ch = a.shape
-    total = 0.0
-    for r in range(1, h - 1):
-        for c in range(1, w - 1):
-            nb = a[r - 1:r + 2, c - 1:c + 2, :].reshape(9, num_ch)
-            for k in range(num_ch):
-                total += loss.theta(nb[:, k])
-    return float(total)

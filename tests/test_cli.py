@@ -127,6 +127,24 @@ def test_predict_uniform_checkpoint(tmp_path):
     assert np.all(labels == 0)  # uniform ties resolve to class 0
 
 
+@pytest.mark.parametrize("value", [np.nan, 1e300])
+def test_predict_bad_checkpoint_writes_nothing(tmp_path, value):
+    # NaN params are rejected on load; huge finite ones overflow to a
+    # non-finite map, which is rejected before any class map is written
+    specs = tuple(LayerSpec(k, s) for k, s in TINY_JSON)
+    net = Network(specs, 9, 2)
+    net.params[:] = value
+    ckpt = tmp_path / "bad.npz"
+    save_checkpoint(net, ckpt)
+    img = tmp_path / "img.pgm"
+    img.write_bytes(b"P5\n4 3\n255\n" + bytes(range(12)))
+    out = tmp_path / "out"
+    with np.errstate(all="ignore"):
+        assert main(["predict", "--checkpoint", str(ckpt), "--image", str(img),
+                     "--out-prefix", str(out / "p")]) == 1
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_experiment_command(tmp_path):
     cfg = {
         "labels_per_image": [5],

@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from oracles import extract_patch, mirror_index
 from tvseg.data import (LabeledImage, SparseLabelSet, SynthConfig, UNLABELED,
-                        extract_patch, load_dataset, load_image, load_labels,
-                        load_prob_map, load_sparse, merge_sparse, pad_mirror,
-                        reflect_index, sample_sparse_labels, save_dataset,
-                        save_image, save_labels, save_prob_map, save_sparse,
+                        load_dataset, load_image, load_labels, load_prob_map,
+                        load_sparse, merge_sparse, pad_mirror,
+                        sample_sparse_labels, save_dataset, save_image,
+                        save_labels, save_prob_map, save_sparse,
                         synth_dataset, synth_generate)
 from tvseg.pnm import PnmError, read_pnm, write_pnm
 
@@ -90,41 +92,41 @@ def test_merge_sparse_keeps_all():
 # -- patch extraction ---------------------------------------------------------
 
 
+def _patch(img, center, patch_size):
+    """The patch the trainer and predict_image cut out of the padded image."""
+    a = np.asarray(img, dtype=np.float64)
+    if a.ndim == 2:
+        a = a[:, :, None]
+    r, c = center
+    return pad_mirror(a, patch_size // 2)[r:r + patch_size, c:c + patch_size]
+
+
 def test_patch_interior_is_subwindow():
     img = np.arange(64.0).reshape(8, 8) / 64.0
-    p = extract_patch(img, (4, 4), 5)
+    p = _patch(img, (4, 4), 5)
     assert np.array_equal(p[:, :, 0], img[2:7, 2:7])
 
 
 def test_patch_corner_mirrors():
     img = np.arange(9.0).reshape(3, 3) / 9.0
-    p = extract_patch(img, (0, 0), 3)
+    p = _patch(img, (0, 0), 3)
     # index -1 reflects onto 0 (edge value repeated)
     expect = img[np.ix_([0, 0, 1], [0, 0, 1])]
     assert np.array_equal(p[:, :, 0], expect)
 
 
-def test_patch_mirror_matches_reflection_oracle():
-    # every center of a 5x5 ramp, patch 5, against index mirroring by hand
-    def mirror(i, n):
-        while i < 0 or i >= n:
-            if i < 0:
-                i = -i - 1
-            else:
-                i = 2 * n - 1 - i
-        return i
-
-    img = (np.arange(25.0).reshape(5, 5) + 1.0) / 25.0
-    for r in range(5):
-        for c in range(5):
-            p = extract_patch(img, (r, c), 5)[:, :, 0]
-            for i in range(5):
-                for j in range(5):
-                    assert p[i, j] == img[mirror(r - 2 + i, 5), mirror(c - 2 + j, 5)]
-
-
-def test_reflect_index_periodic():
-    assert [reflect_index(i, 3) for i in range(-3, 6)] == [2, 1, 0, 0, 1, 2, 2, 1, 0]
+@settings(max_examples=150, deadline=None)
+@given(h=st.integers(1, 12), w=st.integers(1, 12), channels=st.sampled_from([1, 3]),
+       patch_size=st.integers(0, 15).map(lambda k: 2 * k + 1), seed=st.integers(0, 2 ** 16))
+def test_patch_mirror_matches_reflection_oracle(h, w, channels, patch_size, seed):
+    # every center, against index mirroring by hand; margins up to 15
+    # exceed the image size, so the reflection wraps more than once
+    img = np.random.default_rng(seed).uniform(size=(h, w, channels))
+    padded = pad_mirror(img, patch_size // 2)
+    for r in range(h):
+        for c in range(w):
+            assert np.array_equal(padded[r:r + patch_size, c:c + patch_size],
+                                  extract_patch(img, (r, c), patch_size))
 
 
 def test_pad_mirror_agrees_with_extract_patch():
@@ -137,12 +139,11 @@ def test_pad_mirror_agrees_with_extract_patch():
                                   extract_patch(img, (r, c), 5))
 
 
-def test_patch_errors():
-    img = np.zeros((4, 4))
-    with pytest.raises(ValueError):
-        extract_patch(img, (0, 0), 4)  # even
-    with pytest.raises(ValueError):
-        extract_patch(img, (4, 0), 3)  # out of bounds
+def test_reflect_index_periodic():
+    # self-check of the oracle above: period 2n, edge value repeated
+    assert [mirror_index(i, 3) for i in range(-3, 6)] == [2, 1, 0, 0, 1, 2, 2, 1, 0]
+    assert [mirror_index(i, 1) for i in range(-3, 4)] == [0] * 7
+    assert [mirror_index(i, 2) for i in range(-6, 8)] == [1, 0, 0, 1] * 3 + [1, 0]
 
 
 # -- synthetic scenes ---------------------------------------------------------

@@ -1,106 +1,102 @@
-"""Correlation primitives: hand values, adjoint identity, error paths."""
+"""Sobel responses over a whole grid and their scatter back onto it.
+
+``tv_value_image`` correlates every valid 3x3 window of a map with the
+Sobel kernels, and ``tv_grad_image`` scatters each window's sign
+coefficients back through the same kernels: hand values, the scatter
+against a loop-by-loop oracle, and the error paths for bad grids.
+"""
 
 import numpy as np
 import pytest
 
-from tvseg.grids import (SOBEL_X, SOBEL_Y, adjoint_scatter, as_grid,
-                         correlate_valid, sobel_x, sobel_y)
+from tvseg.tv_loss import (SOBEL_X, SOBEL_Y, _image_sobel, tv_grad_image,
+                           tv_value_image)
+
+
+def _responses(g):
+    """(Gx, Gy) of a 2-D grid, each (H-2, W-2)."""
+    gx, gy = _image_sobel(np.asarray(g, dtype=np.float64)[:, :, None])
+    return gx[:, :, 0], gy[:, :, 0]
 
 
 def test_zero_sum_kernel_annihilates_constants():
     g = np.full((6, 5), 3.7)
-    assert np.all(sobel_x(g) == 0.0)
-    assert np.all(sobel_y(g) == 0.0)
-
-
-def test_identity_center_kernel():
-    k = np.zeros((3, 3))
-    k[1, 1] = 1.0
-    g = np.arange(9.0).reshape(3, 3)
-    out = correlate_valid(g, k)
-    assert out.shape == (1, 1)
-    assert out[0, 0] == g[1, 1]
+    gx, gy = _responses(g)
+    assert gx.shape == gy.shape == (4, 3)
+    assert np.all(gx == 0.0)
+    assert np.all(gy == 0.0)
+    assert tv_value_image(g) == 0.0
+    assert np.all(tv_grad_image(g) == 0.0)
 
 
 def test_sobel_x_on_row_ramp():
-    # f(r,c) = r: every valid pixel sees -1*(r-1)*4/... by hand: 8
+    # f(r, c) = r: each valid pixel sees (1 + 2 + 1) * (r+1 - (r-1)) = 8
     g = np.tile(np.arange(4.0)[:, None], (1, 4))
-    out = sobel_x(g)
-    assert out.shape == (2, 2)
-    assert np.all(out == 8.0)
-    assert np.all(sobel_y(g) == 0.0)
+    gx, gy = _responses(g)
+    assert gx.shape == (2, 2)
+    assert np.all(gx == 8.0)
+    assert np.all(gy == 0.0)
+    assert tv_value_image(g) == 32.0
 
 
 def test_sobel_y_on_col_ramp():
     g = np.tile(np.arange(4.0)[None, :], (4, 1))
-    assert np.all(sobel_y(g) == 8.0)
-    assert np.all(sobel_x(g) == 0.0)
-
-
-def test_correlate_linearity():
-    rng = np.random.default_rng(11)
-    g1 = rng.standard_normal((7, 6))
-    g2 = rng.standard_normal((7, 6))
-    k = rng.standard_normal((3, 3))
-    lhs = correlate_valid(2.5 * g1 - 1.25 * g2, k)
-    rhs = 2.5 * correlate_valid(g1, k) - 1.25 * correlate_valid(g2, k)
-    assert np.abs(lhs - rhs).max() < 1e-12
+    gx, gy = _responses(g)
+    assert np.all(gy == 8.0)
+    assert np.all(gx == 0.0)
+    assert tv_value_image(g) == 32.0
+    # on the diagonal ramp r + c both respond, so TV is 16 per valid pixel
+    assert tv_value_image(g + g.T) == 64.0
 
 
 def test_adjoint_scatter_zero_coeff():
-    out = adjoint_scatter(np.zeros((2, 2)), SOBEL_X, 4, 4)
-    assert np.all(out == 0.0)
+    # the Sobel kernels are blind to a checkerboard and to alternating
+    # stripes: every window has Gx = Gy = 0, so all scattered
+    # coefficients are zero although the map is not constant
+    rows, cols = np.mgrid[0:4, 0:5]
+    for g in ((rows + cols) % 2, rows % 2, cols % 2):
+        g = g.astype(np.float64)
+        gx, gy = _responses(g)
+        assert np.all(gx == 0.0) and np.all(gy == 0.0)
+        assert np.all(tv_grad_image(g) == 0.0)
 
 
 def test_adjoint_scatter_single_coeff_reproduces_kernel():
-    out = adjoint_scatter(np.ones((1, 1)), SOBEL_X, 3, 3)
-    assert np.array_equal(out, SOBEL_X)
+    # a 3x3 map has one window; a pure row ramp gives sign(Gx) = 1 and
+    # Gy = 0, so the scattered gradient is the kernel itself
+    ramp = np.tile(np.arange(3.0)[:, None], (1, 3))
+    assert np.array_equal(tv_grad_image(ramp), SOBEL_X)
+    assert np.array_equal(tv_grad_image(ramp.T), SOBEL_Y)
+    assert np.array_equal(tv_grad_image(-ramp), -SOBEL_X)
 
 
 def test_adjoint_scatter_matches_bruteforce():
     rng = np.random.default_rng(3)
-    c = rng.standard_normal((2, 2))
-    k = rng.standard_normal((3, 3))
-    out = adjoint_scatter(c, k, 4, 4)
-    ref = np.zeros((4, 4))
-    for qr in range(2):
-        for qc in range(2):
-            for i in range(3):
-                for j in range(3):
-                    ref[qr + i, qc + j] += k[i, j] * c[qr, qc]
-    assert np.abs(out - ref).max() < 1e-12
-
-
-def test_adjoint_identity_random():
-    rng = np.random.default_rng(7)
-    for _ in range(20):
-        h = int(rng.integers(3, 10))
-        w = int(rng.integers(3, 10))
-        g = rng.standard_normal((h, w))
-        c = rng.standard_normal((h - 2, w - 2))
-        for k in (SOBEL_X, SOBEL_Y, rng.standard_normal((3, 3))):
-            a = float((correlate_valid(g, k) * c).sum())
-            b = float((g * adjoint_scatter(c, k, h, w)).sum())
-            assert abs(a - b) <= 1e-10 * max(1.0, abs(a))
+    h, w = 4, 6
+    g = rng.standard_normal((h, w))
+    ref = np.zeros((h, w))
+    for qr in range(h - 2):
+        for qc in range(w - 2):
+            for k in (SOBEL_X, SOBEL_Y):
+                resp = sum(k[i, j] * g[qr + i, qc + j]
+                           for i in range(3) for j in range(3))
+                for i in range(3):
+                    for j in range(3):
+                        ref[qr + i, qc + j] += k[i, j] * np.sign(resp)
+    assert np.abs(tv_grad_image(g) - ref).max() < 1e-12
 
 
 def test_grid_too_small_raises():
-    with pytest.raises(ValueError):
-        correlate_valid(np.zeros((2, 5)), SOBEL_X)
-
-
-def test_bad_kernel_shape_raises():
-    with pytest.raises(ValueError):
-        correlate_valid(np.zeros((5, 5)), np.zeros((2, 2)))
+    for shape in ((2, 5), (5, 2), (2, 2, 3)):
+        for check in (tv_value_image, tv_grad_image):
+            with pytest.raises(ValueError):
+                check(np.zeros(shape))
 
 
 def test_nonfinite_grid_rejected():
-    g = np.zeros((4, 4))
-    g[1, 1] = np.nan
-    with pytest.raises(ValueError):
-        as_grid(g)
-
-
-def test_adjoint_scatter_size_mismatch():
-    with pytest.raises(ValueError):
-        adjoint_scatter(np.zeros((2, 2)), SOBEL_X, 5, 4)
+    for bad in (np.nan, np.inf, -np.inf):
+        g = np.zeros((4, 4))
+        g[1, 1] = bad
+        for check in (tv_value_image, tv_grad_image):
+            with pytest.raises(ValueError):
+                check(g)

@@ -6,7 +6,7 @@ import pytest
 from tvseg.errors import NumericalError
 from tvseg.network import (LayerSpec, Network, default_specs, load_checkpoint,
                            save_checkpoint, sgd_step, specs_from_json,
-                           specs_to_json, wide_specs)
+                           specs_to_json)
 
 TINY = (LayerSpec("conv3x3", 2), LayerSpec("relu"), LayerSpec("maxpool2x2"),
         LayerSpec("dense", 8), LayerSpec("relu"), LayerSpec("dense", 2),
@@ -21,24 +21,24 @@ def test_forward_is_a_distribution():
     rng = np.random.default_rng(0)
     net = Network.init(TINY, 9, 2, seed=1)
     for _ in range(10):
-        p, _ = net.forward(_rand_patch(rng))
-        assert p.shape == (2,)
+        p, _ = net.batch_forward(_rand_patch(rng)[None])
+        assert p.shape == (1, 2)
         assert abs(p.sum() - 1.0) < 1e-6
         assert (p > 0).all()
 
 
 def test_zero_weights_give_uniform_output():
     net = Network(TINY, 9, 2)  # params default to zeros
-    p, _ = net.forward(np.random.default_rng(2).uniform(size=(9, 9, 1)))
-    assert np.array_equal(p, np.array([0.5, 0.5]))
+    p, _ = net.batch_forward(np.random.default_rng(2).uniform(size=(1, 9, 9, 1)))
+    assert np.array_equal(p, np.array([[0.5, 0.5]]))
 
 
 def test_forward_deterministic():
     rng = np.random.default_rng(3)
     x = _rand_patch(rng)
     net = Network.init(TINY, 9, 2, seed=7)
-    p1, _ = net.forward(x)
-    p2, _ = net.forward(x)
+    p1, _ = net.batch_forward(x[None])
+    p2, _ = net.batch_forward(x[None])
     assert np.array_equal(p1, p2)
 
 
@@ -65,19 +65,19 @@ def test_he_init_weight_scale():
 
 def test_backward_zero_grad_out():
     net = Network.init(TINY, 9, 2, seed=4)
-    _, cache = net.forward(_rand_patch(np.random.default_rng(4)))
-    g = net.backward(cache, np.zeros(2))
+    _, cache = net.batch_forward(_rand_patch(np.random.default_rng(4))[None])
+    g = net.batch_backward(cache, np.zeros((1, 2)))
     assert np.all(g == 0.0)
 
 
 def test_backward_linear_in_grad_out():
     rng = np.random.default_rng(8)
     net = Network.init(TINY, 9, 2, seed=8)
-    _, cache = net.forward(_rand_patch(rng))
-    g1 = rng.standard_normal(2)
-    g2 = rng.standard_normal(2)
-    lhs = net.backward(cache, 2.0 * g1 - 0.5 * g2)
-    rhs = 2.0 * net.backward(cache, g1) - 0.5 * net.backward(cache, g2)
+    _, cache = net.batch_forward(_rand_patch(rng)[None])
+    g1 = rng.standard_normal((1, 2))
+    g2 = rng.standard_normal((1, 2))
+    lhs = net.batch_backward(cache, 2.0 * g1 - 0.5 * g2)
+    rhs = 2.0 * net.batch_backward(cache, g1) - 0.5 * net.batch_backward(cache, g2)
     assert np.abs(lhs - rhs).max() < 1e-10
 
 
@@ -90,17 +90,17 @@ def test_batch_backward_matches_single_sum():
     batched = net.batch_backward(cache, gout)
     single = np.zeros_like(net.params)
     for i in range(4):
-        _, c1 = net.forward(xs[i])
-        single += net.backward(c1, gout[i])
+        _, c1 = net.batch_forward(xs[i][None])
+        single += net.batch_backward(c1, gout[i][None])
     assert np.abs(batched - single).max() < 1e-9
 
 
 def test_stale_cache_rejected():
     net = Network.init(TINY, 9, 2, seed=3)
-    _, cache = net.forward(np.zeros((9, 9, 1)))
+    _, cache = net.batch_forward(np.zeros((1, 9, 9, 1)))
     sgd_step(net, np.zeros_like(net.params), lr=0.1)
     with pytest.raises(ValueError):
-        net.backward(cache, np.ones(2))
+        net.batch_backward(cache, np.ones((1, 2)))
 
 
 def test_sgd_step_identities():
@@ -144,6 +144,10 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     assert back.patch_size == net.patch_size
     assert back.num_classes == net.num_classes
     assert back.seed == net.seed
+    net.params[5] = np.inf
+    save_checkpoint(net, path)
+    with pytest.raises(ValueError):
+        load_checkpoint(path)
 
 
 def test_specs_json_roundtrip():
@@ -168,9 +172,13 @@ def test_architecture_validation():
 
 
 def test_wide_specs_need_large_patches():
+    # four 64-map conv/pool blocks leave no spatial extent below 47x47
+    block = (LayerSpec("conv3x3", 64), LayerSpec("relu"), LayerSpec("maxpool2x2"))
+    wide = 4 * block + (LayerSpec("dense", 512), LayerSpec("relu"),
+                        LayerSpec("dense", 2), LayerSpec("softmax"))
     with pytest.raises(ValueError):
-        Network(wide_specs(2), 15, 2)
-    net = Network(wide_specs(2), 47, 2)
+        Network(wide, 15, 2)
+    net = Network(wide, 47, 2)
     assert net.num_params > 100000
 
 

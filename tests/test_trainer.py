@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from tvseg.data import SynthConfig, extract_patch, merge_sparse, \
-    sample_sparse_labels, synth_dataset
+from oracles import extract_patch
+from tvseg.data import SynthConfig, merge_sparse, sample_sparse_labels, \
+    synth_dataset
 from tvseg.network import LayerSpec, Network
 from tvseg.trainer import (TrainConfig, predict_image, supervised_grad, train,
                            unsupervised_grad, _loss_and_grad_out)
@@ -113,8 +114,8 @@ def test_unsupervised_matches_whole_image_gradient():
     ref = np.zeros(net.num_params)
     for r in range(8):
         for c in range(8):
-            _, cache = net.forward(extract_patch(img, (r, c), 9))
-            ref += net.backward(cache, field[r, c])
+            _, cache = net.batch_forward(extract_patch(img, (r, c), 9)[None])
+            ref += net.batch_backward(cache, field[r, c][None])
     scale = max(np.abs(ref).max(), 1e-12)
     assert np.abs(total - ref).max() / scale < 1e-8
 
@@ -213,8 +214,8 @@ def test_predict_pixel_equals_patch_forward():
     img = rng.uniform(size=(10, 12, 1))
     probs = predict_image(net, img)
     for r, c in [(0, 0), (0, 11), (9, 0), (5, 6), (9, 11)]:
-        direct, _ = net.forward(extract_patch(img, (r, c), 9))
-        assert np.abs(probs[r, c] - direct).max() < 1e-12
+        direct, _ = net.batch_forward(extract_patch(img, (r, c), 9)[None])
+        assert np.abs(probs[r, c] - direct[0]).max() < 1e-12
 
 
 def test_predict_chunking_consistent():

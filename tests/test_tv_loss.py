@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from tvseg.tv_loss import (TotalVariation, extract_neighborhood, tv_grad_image,
-                           tv_theta, tv_theta_coeffs, tv_value_image,
-                           spatial_value_image, validate_prob_map)
+from tvseg.tv_loss import (tv_grad_image, tv_theta, tv_theta_coeffs,
+                           tv_value_image, validate_prob_map)
 
 XBAR = np.array([-1.0, -2.0, -1.0, 0.0, 0.0, 0.0, 1.0, 2.0, 1.0])
 YBAR = np.array([-1.0, 0.0, 1.0, -2.0, 0.0, 2.0, -1.0, 0.0, 1.0])
@@ -18,11 +17,14 @@ def test_theta_constant_window_is_zero():
 def test_theta_bottom_row_one():
     v = np.array([0, 0, 0, 0, 0, 0, 1, 1, 1.0])
     assert tv_theta(v) == 4.0
+    # a ramp along rows has a Sobel response of exactly 8 and none across
+    assert tv_theta(np.array([0, 0, 0, 1, 1, 1, 2, 2, 2.0])) == 8.0
 
 
 def test_theta_right_column_one():
     v = np.array([0, 0, 1, 0, 0, 1, 0, 0, 1.0])
     assert tv_theta(v) == 4.0
+    assert tv_theta(np.array([0, 1, 2, 0, 1, 2, 0, 1, 2.0])) == 8.0
 
 
 def test_coeffs_constant_window_all_zero():
@@ -34,6 +36,7 @@ def test_coeffs_constant_window_all_zero():
 def test_coeffs_bottom_row_one_equals_xbar():
     v = np.array([0, 0, 0, 0, 0, 0, 1, 1, 1.0])
     assert np.array_equal(tv_theta_coeffs(v), XBAR)
+    assert np.array_equal(tv_theta_coeffs(np.array([0, 0, 0, 1, 1, 1, 2, 2, 2.0])), XBAR)
 
 
 def test_coeffs_match_central_differences():
@@ -83,11 +86,10 @@ def test_value_image_matches_window_sum():
     total = 0.0
     for r in range(1, 5):
         for c in range(1, 6):
-            nb = extract_neighborhood(p, r, c)
+            nb = p[r - 1:r + 2, c - 1:c + 2].reshape(9, 2)  # row-major
             for k in range(2):
                 total += tv_theta(nb, k)
     assert abs(tv_value_image(p) - total) < 1e-10 * max(1.0, total)
-    assert abs(spatial_value_image(p, TotalVariation()) - total) < 1e-10
 
 
 def test_value_image_nonnegative_and_homogeneous():
@@ -143,16 +145,6 @@ def test_grad_image_directional_derivative():
 def test_grad_image_preserves_2d_shape():
     p = np.random.default_rng(1).uniform(size=(4, 4))
     assert tv_grad_image(p).shape == (4, 4)
-
-
-def test_extract_neighborhood_row_major():
-    p = np.arange(16.0).reshape(4, 4)
-    nb = extract_neighborhood(p, 1, 1)
-    assert np.array_equal(nb[:, 0], np.array([0, 1, 2, 4, 5, 6, 8, 9, 10.0]))
-    with pytest.raises(ValueError):
-        extract_neighborhood(p, 0, 1)
-    with pytest.raises(ValueError):
-        extract_neighborhood(p, 1, 3)
 
 
 def test_validate_prob_map():
