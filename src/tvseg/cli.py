@@ -12,7 +12,7 @@ import hashlib
 import json
 import re
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -85,12 +85,8 @@ def _check_keys(d: dict, allowed, what: str) -> None:
         raise ValueError(f"unknown {what} config keys: {sorted(unknown)}")
 
 
-_TRAIN_KEYS = ("alpha", "lr", "weight_decay", "sup_batch", "unsup_batch",
-               "iterations", "supervised_loss", "seed", "patch_size",
-               "num_classes", "architecture")
-_SYNTH_KEYS = ("height", "width", "num_shapes", "noise_std", "num_classes",
-               "seed", "channels", "shade_split", "shade_split_prob",
-               "shade_jitter")
+_TRAIN_KEYS = tuple(f.name for f in fields(TrainConfig))
+_SYNTH_KEYS = tuple(f.name for f in fields(SynthConfig))
 
 
 def _build_train_config(d: dict) -> TrainConfig:
@@ -277,9 +273,7 @@ def cmd_eval(args) -> int:
     return 0
 
 
-_EXPERIMENT_KEYS = ("labels_per_image", "trials", "modes", "train", "alphas",
-                    "mrf_betas", "mrf_max_iters", "master_seed", "synth",
-                    "num_train", "num_test", "data_dir")
+_EXPERIMENT_KEYS = tuple(f.name for f in fields(ExperimentConfig))
 
 
 def _build_experiment_config(raw: dict) -> ExperimentConfig:

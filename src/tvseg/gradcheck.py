@@ -15,10 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import pad_mirror
 from .network import LayerSpec, Network
 from .rng import make_rng
-from .trainer import _neighbor_patches, supervised_grad, unsupervised_grad
+from .trainer import (_NB_COLS, _NB_ROWS, _gather, _windows, supervised_grad,
+                      unsupervised_grad)
 from .tv_loss import tv_grad_image, tv_theta, tv_theta_coeffs, tv_value_image
 
 # row-major forms of the two 3x3 derivative kernels, written out so the
@@ -189,8 +189,8 @@ def check_unsupervised_grad(seed: int = 0) -> CheckResult:
         net = _tiny_net(int(rng.integers(0, 2 ** 31)))
         img = rng.uniform(0.0, 1.0, size=(12, 12, 1))
         center = (int(rng.integers(1, 11)), int(rng.integers(1, 11)))
-        padded = pad_mirror(img, net.patch_size // 2)
-        patches = _neighbor_patches(padded, center[0], center[1], net.patch_size)
+        patches = _gather(_windows(img, net.patch_size),
+                          center[0] + _NB_ROWS, center[1] + _NB_COLS)
         probs, _ = net.batch_forward(patches)
         margins = [min(abs(probs[:, ch] @ _XBAR), abs(probs[:, ch] @ _YBAR))
                    for ch in range(2)]

@@ -20,6 +20,7 @@ losses use the same entry point.
 """
 
 import json
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -373,11 +374,22 @@ def save_checkpoint(net: Network, path) -> None:
 
 
 def load_checkpoint(path) -> Network:
-    with np.load(path, allow_pickle=False) as data:
-        meta = json.loads(bytes(data["meta"]).decode("utf-8"))
-        params = np.array(data["params"], dtype=np.float64)
+    """Read a checkpoint written by ``save_checkpoint``.
+
+    A file that is not a readable npz archive raises OSError; an archive
+    whose metadata or parameters are invalid raises ValueError.
+    """
+    try:
+        with np.load(path, allow_pickle=False) as data:
+            raw_meta, raw_params = bytes(data["meta"]), data["params"]
+    except (zipfile.BadZipFile, EOFError, ValueError) as exc:
+        raise OSError(f"{path}: unreadable checkpoint: {exc}") from exc
+    meta = json.loads(raw_meta.decode("utf-8"))
+    if not isinstance(meta, dict):
+        raise ValueError(f"{path}: checkpoint metadata must be a JSON object")
     if meta.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {meta.get('version')!r}")
+    params = np.array(raw_params, dtype=np.float64)
     if not np.isfinite(params).all():
         raise ValueError(f"{path}: checkpoint holds non-finite parameters")
     return Network(

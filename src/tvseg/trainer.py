@@ -30,6 +30,12 @@ _PROB_FLOOR = 1e-12  # clamp for log/reciprocal of tiny probabilities
 
 _TV = TotalVariation()
 
+_PREDICT_CHUNK = 2048  # pixels classified per forward pass in predict_image
+
+# offsets of the 3x3 neighborhood of a pixel, row-major
+_NB_ROWS = np.array([-1, -1, -1, 0, 0, 0, 1, 1, 1])
+_NB_COLS = np.array([-1, 0, 1, -1, 0, 1, -1, 0, 1])
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -96,6 +102,54 @@ def _loss_and_grad_out(probs: np.ndarray, labels: np.ndarray, kind: str):
     return -np.log(p_true), grad
 
 
+def _windows(image, patch_size: int) -> np.ndarray:
+    """Sliding-window view of ``image`` mirror-padded by P // 2.
+
+    ``image`` is a LabeledImage or an (H, W) or (H, W, C) array.  The
+    view's first two axes are the H x W pixels; its window at (r, c) is
+    the patch centered on pixel (r, c).  Cut patches with ``_gather``.
+    """
+    img = image.image if isinstance(image, LabeledImage) else np.asarray(image, dtype=np.float64)
+    if img.ndim == 2:
+        img = img[:, :, None]
+    padded = pad_mirror(img, patch_size // 2)
+    return np.lib.stride_tricks.sliding_window_view(padded, (patch_size, patch_size),
+                                                    axis=(0, 1))
+
+
+def _gather(windows: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """(N, P, P, C) patches centered at the pixels (rows[i], cols[i])."""
+    return windows.transpose(0, 1, 3, 4, 2)[rows, cols]
+
+
+def _supervised_step(net: Network, patches: np.ndarray, labels: np.ndarray,
+                     kind: str) -> tuple[float, np.ndarray]:
+    """Mean supervised loss over a labeled batch and its parameter gradient."""
+    probs, cache = net.batch_forward(patches)
+    losses, grad_out = _loss_and_grad_out(probs, labels, kind)
+    return float(losses.mean()), net.batch_backward(cache, grad_out / len(labels))
+
+
+def _tv_step(net: Network, patches: np.ndarray,
+             scale: float) -> tuple[float, np.ndarray]:
+    """Summed TV penalty of B output neighborhoods and the parameter
+    gradient of ``scale`` times it.
+
+    ``patches`` holds 9·B patches, the nine of each neighborhood in
+    row-major order.  The penalty applies per window and class channel;
+    its coefficients are backpropagated through the 9·B forward passes.
+    """
+    probs, cache = net.batch_forward(patches)
+    nb = probs.reshape(-1, 9, net.num_classes)
+    value = 0.0
+    coeffs = np.empty_like(nb)
+    for bi in range(nb.shape[0]):
+        for ch in range(net.num_classes):
+            value += _TV.theta(nb[bi, :, ch])
+            coeffs[bi, :, ch] = _TV.theta_coeffs(nb[bi, :, ch])
+    return value, net.batch_backward(cache, coeffs.reshape(probs.shape) * scale)
+
+
 def supervised_grad(net: Network, patch, label: int,
                     loss_kind: str = "cross_entropy") -> tuple[float, np.ndarray]:
     """Loss and exact parameter gradient for one labeled patch."""
@@ -103,25 +157,8 @@ def supervised_grad(net: Network, patch, label: int,
         raise ValueError(f"loss_kind must be one of {SUPERVISED_LOSSES}")
     if not 0 <= label < net.num_classes:
         raise ValueError(f"label {label} out of range for K={net.num_classes}")
-    probs, cache = net.batch_forward(np.asarray(patch, dtype=np.float64)[None])
-    losses, grad_out = _loss_and_grad_out(probs, np.array([label]), loss_kind)
-    return float(losses[0]), net.batch_backward(cache, grad_out)
-
-
-def _neighbor_patches(padded: np.ndarray, row: int, col: int, patch_size: int) -> np.ndarray:
-    """Nine patches centered on the 3x3 neighborhood of (row, col), row-major.
-
-    ``padded`` is the image mirror-padded by patch_size // 2, so the
-    patch centered at original pixel (r, c) is padded[r:r+P, c:c+P].
-    """
-    out = np.empty((9, patch_size, patch_size, padded.shape[2]))
-    i = 0
-    for dr in (-1, 0, 1):
-        for dc in (-1, 0, 1):
-            r, c = row + dr, col + dc
-            out[i] = padded[r:r + patch_size, c:c + patch_size]
-            i += 1
-    return out
+    return _supervised_step(net, np.asarray(patch, dtype=np.float64)[None],
+                            np.array([label]), loss_kind)
 
 
 def unsupervised_grad(net: Network, image, center: tuple[int, int]) -> tuple[float, np.ndarray]:
@@ -133,22 +170,13 @@ def unsupervised_grad(net: Network, image, center: tuple[int, int]) -> tuple[flo
     penalty to each class channel, and backpropagates the per-neighbor
     coefficients through the nine forward passes.
     """
-    img = image.image if isinstance(image, LabeledImage) else np.asarray(image, dtype=np.float64)
-    if img.ndim == 2:
-        img = img[:, :, None]
-    h, w = img.shape[:2]
+    windows = _windows(image, net.patch_size)
+    h, w = windows.shape[:2]
     r, c = center
     if not (1 <= r < h - 1 and 1 <= c < w - 1):
         raise ValueError(f"center {center} must be at least 1 pixel inside a {h}x{w} image")
-    padded = pad_mirror(img, net.patch_size // 2)
-    patches = _neighbor_patches(padded, r, c, net.patch_size)
-    probs, cache = net.batch_forward(patches)  # (9, K) neighborhood outputs
-    value = 0.0
-    grad_out = np.empty_like(probs)
-    for ch in range(net.num_classes):
-        value += _TV.theta(probs[:, ch])
-        grad_out[:, ch] = _TV.theta_coeffs(probs[:, ch])
-    return float(value), net.batch_backward(cache, grad_out)
+    value, grads = _tv_step(net, _gather(windows, r + _NB_ROWS, c + _NB_COLS), 1.0)
+    return float(value), grads
 
 
 def _check_sparse(images: dict[str, LabeledImage], sparse: SparseLabelSet,
@@ -186,16 +214,17 @@ def train(images: dict[str, LabeledImage], sparse: SparseLabelSet,
                            in_channels=channels.pop())
 
     ids = list(images.keys())
-    half = net.patch_size // 2
-    padded = {name: pad_mirror(images[name].image, half) for name in ids}
-
-    # supervised samples are a fixed small set: extract their patches once
     p = net.patch_size
+    windows = {name: _windows(images[name], p) for name in ids}
+
+    # supervised samples are a fixed small set: cut their patches once
+    names, rows, cols, classes = zip(*sparse.entries)
+    rows, cols = np.array(rows), np.array(cols)
+    sup_labels = np.array(classes, dtype=np.int64)
     sup_patches = np.empty((len(sparse), p, p, net.in_channels))
-    sup_labels = np.empty(len(sparse), dtype=np.int64)
-    for i, (image_id, row, col, cls) in enumerate(sparse.entries):
-        sup_patches[i] = padded[image_id][row:row + p, col:col + p]
-        sup_labels[i] = cls
+    for name in dict.fromkeys(names):
+        at = [i for i, n in enumerate(names) if n == name]
+        sup_patches[at] = _gather(windows[name], rows[at], cols[at])
 
     # flat index space over interior pixels of every image, for unsup draws
     use_unsup = cfg.alpha > 0 and cfg.unsup_batch > 0
@@ -220,10 +249,8 @@ def train(images: dict[str, LabeledImage], sparse: SparseLabelSet,
 
     for it in range(cfg.iterations):
         pick = rng_sup.integers(0, len(sparse), size=cfg.sup_batch)
-        probs, cache = net.batch_forward(sup_patches[pick])
-        losses, grad_out = _loss_and_grad_out(probs, sup_labels[pick], cfg.supervised_loss)
-        sup_value = float(losses.mean())
-        grads = net.batch_backward(cache, grad_out / cfg.sup_batch)
+        sup_value, grads = _supervised_step(net, sup_patches[pick], sup_labels[pick],
+                                            cfg.supervised_loss)
 
         unsup_value = 0.0
         if use_unsup:
@@ -234,18 +261,11 @@ def train(images: dict[str, LabeledImage], sparse: SparseLabelSet,
                 name, ih, iw = interiors[which]
                 local = int(f) - (int(bounds[which - 1]) if which else 0)
                 row, col = 1 + local // iw, 1 + local % iw
-                batch[9 * bi:9 * bi + 9] = _neighbor_patches(padded[name], row, col, p)
-            nb_probs, nb_cache = net.batch_forward(batch)
-            nb = nb_probs.reshape(cfg.unsup_batch, 9, net.num_classes)
-            coeffs = np.empty_like(nb)
-            for bi in range(cfg.unsup_batch):
-                for ch in range(net.num_classes):
-                    unsup_value += _TV.theta(nb[bi, :, ch])
-                    coeffs[bi, :, ch] = _TV.theta_coeffs(nb[bi, :, ch])
+                batch[9 * bi:9 * bi + 9] = _gather(windows[name], row + _NB_ROWS,
+                                                   col + _NB_COLS)
+            unsup_value, unsup_grads = _tv_step(net, batch, cfg.alpha / cfg.unsup_batch)
             unsup_value /= cfg.unsup_batch
-            scale = cfg.alpha / cfg.unsup_batch
-            grads += net.batch_backward(
-                nb_cache, coeffs.reshape(9 * cfg.unsup_batch, net.num_classes) * scale)
+            grads += unsup_grads
 
         total = sup_value + cfg.alpha * unsup_value
         if not np.isfinite(total):
@@ -260,23 +280,20 @@ def train(images: dict[str, LabeledImage], sparse: SparseLabelSet,
     return net, TrainReport(sup_hist, unsup_hist, total_hist)
 
 
-def predict_image(net: Network, image, chunk: int = 2048) -> np.ndarray:
+def predict_image(net: Network, image) -> np.ndarray:
     """Classify every pixel by sliding the patch window over the image.
 
     Returns an (H, W, K) probability map; borders use mirror padding,
     so prediction at (r, c) equals ``batch_forward`` on the patch
-    ``pad_mirror(image, P // 2)[r:r+P, c:c+P]``.
+    ``pad_mirror(image, P // 2)[r:r+P, c:c+P]``.  Patches are cut and
+    classified ``_PREDICT_CHUNK`` pixels at a time, so no copy of every
+    patch of the image is made.
     """
-    img = image.image if isinstance(image, LabeledImage) else np.asarray(image, dtype=np.float64)
-    if img.ndim == 2:
-        img = img[:, :, None]
-    h, w = img.shape[:2]
-    p = net.patch_size
-    padded = pad_mirror(img, p // 2)
-    windows = np.lib.stride_tricks.sliding_window_view(padded, (p, p), axis=(0, 1))
-    patches = windows.transpose(0, 1, 3, 4, 2).reshape(h * w, p, p, net.in_channels)
+    windows = _windows(image, net.patch_size)
+    h, w = windows.shape[:2]
     out = np.empty((h * w, net.num_classes))
-    for start in range(0, h * w, chunk):
-        stop = min(start + chunk, h * w)
-        out[start:stop], _ = net.batch_forward(patches[start:stop])
+    for start in range(0, h * w, _PREDICT_CHUNK):
+        stop = min(start + _PREDICT_CHUNK, h * w)
+        flat = np.arange(start, stop)
+        out[start:stop], _ = net.batch_forward(_gather(windows, flat // w, flat % w))
     return out.reshape(h, w, net.num_classes)

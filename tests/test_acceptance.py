@@ -41,9 +41,9 @@ def _report(num: int, ok: bool, detail: str):
 
 
 def test_criterion_1_gradient_suites():
-    # every finite-difference/adjoint suite passes within its own
+    # every finite-difference/scatter suite passes within its own
     # tolerance (1e-6 window coeffs, 1e-12 scatter, 1e-5 directional,
-    # 1e-10 adjoint, 1e-4 relative whole-network), under two minutes
+    # 1e-4 relative whole-network), under two minutes
     t0 = time.time()
     results = run_all(seed=0)
     elapsed = time.time() - t0

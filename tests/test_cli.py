@@ -1,15 +1,17 @@
 """End-to-end command-line workflows and exit codes."""
 
+import io
 import json
 
 import numpy as np
 import pytest
 
-from tvseg.cli import main
+from tvseg.cli import _build_train_config, _train_config_json, main
 from tvseg.data import load_labels
 from tvseg.evaluate import parse_table
 from tvseg.network import LayerSpec, Network, save_checkpoint
 from tvseg.pnm import read_pnm
+from tvseg.trainer import TrainConfig
 
 TINY_JSON = [["conv3x3", 2], ["relu", 0], ["maxpool2x2", 0],
              ["dense", 8], ["relu", 0], ["dense", 2], ["softmax", 0]]
@@ -145,6 +147,38 @@ def test_predict_bad_checkpoint_writes_nothing(tmp_path, value):
     assert not out.exists() or not any(out.iterdir())
 
 
+def _npz_bytes(meta: bytes) -> bytes:
+    buf = io.BytesIO()
+    np.savez(buf, meta=np.frombuffer(meta, dtype=np.uint8), params=np.zeros(3))
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("content, code", [
+    (b"PK\x03\x04" + bytes(range(256)), 3),
+    (_npz_bytes(b"{}")[:300], 3),
+    (b"", 3),
+    (b"not a checkpoint\n", 3),
+    (_npz_bytes(b"[1, 2]"), 1),
+], ids=["garbage_zip", "truncated_zip", "empty", "not_npz", "meta_not_object"])
+def test_predict_unreadable_checkpoint_exits_with_code(tmp_path, content, code):
+    # a file that is no readable npz archive is an IO error; an archive
+    # whose metadata is not a JSON object is invalid input
+    ckpt = tmp_path / "bad.npz"
+    ckpt.write_bytes(content)
+    img = tmp_path / "img.pgm"
+    img.write_bytes(b"P5\n4 3\n255\n" + bytes(range(12)))
+    assert main(["predict", "--checkpoint", str(ckpt), "--image", str(img),
+                 "--out-prefix", str(tmp_path / "out" / "p")]) == code
+    assert not list(tmp_path.rglob("*_class*.pgm"))
+
+
+def test_train_config_json_round_trip():
+    specs = tuple(LayerSpec(k, s) for k, s in TINY_JSON)
+    cfg = TrainConfig(alpha=0.3, patch_size=9, supervised_loss="mse", architecture=specs)
+    assert _build_train_config(_train_config_json(cfg)) == cfg
+    assert _build_train_config(json.loads(json.dumps(_train_config_json(cfg)))) == cfg
+
+
 def test_experiment_command(tmp_path):
     cfg = {
         "labels_per_image": [5],
@@ -176,6 +210,10 @@ def test_validation_errors_exit_one(tmp_path):
     assert main(["synth", "--config", str(bad), "--out", str(tmp_path / "d")]) == 1
     assert main(["experiment", "--config", str(bad),
                  "--out", str(tmp_path / "e")]) == 1
+    # the train config is checked before the (missing) data is read
+    assert main(["train", "--config", str(bad), "--data", str(tmp_path / "none"),
+                 "--sparse", str(tmp_path / "none.csv"),
+                 "--out", str(tmp_path / "m.npz")]) == 1
     # sampling more labels than pixels exist
     data = tmp_path / "tiny"
     assert main(["synth", "--out", str(data), "--height", "4", "--width", "4",

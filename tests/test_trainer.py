@@ -2,13 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracles import extract_patch
 from tvseg.data import SynthConfig, merge_sparse, sample_sparse_labels, \
     synth_dataset
 from tvseg.network import LayerSpec, Network
 from tvseg.trainer import (TrainConfig, predict_image, supervised_grad, train,
-                           unsupervised_grad, _loss_and_grad_out)
+                           unsupervised_grad, _NB_COLS, _NB_ROWS, _PREDICT_CHUNK,
+                           _gather, _loss_and_grad_out, _windows)
 from tvseg.tv_loss import tv_grad_image, tv_value_image
 
 TINY = (LayerSpec("conv3x3", 2), LayerSpec("relu"), LayerSpec("maxpool2x2"),
@@ -218,10 +220,40 @@ def test_predict_pixel_equals_patch_forward():
         assert np.abs(probs[r, c] - direct[0]).max() < 1e-12
 
 
-def test_predict_chunking_consistent():
+def test_predict_crosses_chunk_boundary():
+    # 46x50 pixels take two forward passes; the last pixel of the first
+    # chunk, the first of the second and the four corners match the oracle
     rng = np.random.default_rng(10)
     net = Network.init(TINY, 9, 2, seed=5)
-    img = rng.uniform(size=(9, 9, 1))
-    a = predict_image(net, img, chunk=7)
-    b = predict_image(net, img, chunk=4096)
-    assert np.array_equal(a, b)
+    h, w = 46, 50
+    assert _PREDICT_CHUNK < h * w
+    img = rng.uniform(size=(h, w, 1))
+    probs = predict_image(net, img)
+    for flat in (_PREDICT_CHUNK - 1, _PREDICT_CHUNK, 0, w - 1, (h - 1) * w, h * w - 1):
+        r, c = divmod(flat, w)
+        direct, _ = net.batch_forward(extract_patch(img, (r, c), 9)[None])
+        assert np.abs(probs[r, c] - direct[0]).max() < 1e-12
+
+
+# -- patch gather -------------------------------------------------------------
+
+
+@settings(max_examples=100, deadline=None)
+@given(h=st.integers(1, 12), w=st.integers(1, 12), channels=st.sampled_from([1, 3]),
+       patch_size=st.integers(0, 7).map(lambda k: 2 * k + 1), seed=st.integers(0, 2 ** 16))
+def test_gather_matches_extract_patch_oracle(h, w, channels, patch_size, seed):
+    img = np.random.default_rng(seed).uniform(size=(h, w, channels))
+    # a single-channel image also goes in as a 2-D array
+    windows = _windows(img if channels == 3 else img[:, :, 0], patch_size)
+    rows, cols = np.divmod(np.arange(h * w), w)
+    patches = _gather(windows, rows, cols)
+    assert patches.shape == (h * w, patch_size, patch_size, channels)
+    for patch, r, c in zip(patches, rows, cols):
+        assert np.array_equal(patch, extract_patch(img, (r, c), patch_size))
+    # interior neighborhoods: the nine centers in row-major order
+    for r in range(1, h - 1):
+        for c in range(1, w - 1):
+            oracle = [extract_patch(img, (r + dr, c + dc), patch_size)
+                      for dr in (-1, 0, 1) for dc in (-1, 0, 1)]
+            assert np.array_equal(_gather(windows, r + _NB_ROWS, c + _NB_COLS),
+                                  np.stack(oracle))
