@@ -57,25 +57,39 @@ def icm_smooth(probs: np.ndarray, cfg: MrfConfig) -> np.ndarray:
     if cfg.beta == 0:
         return labels.astype(np.uint8)
 
-    classes = np.arange(k)
+    # scalar Python floats are IEEE doubles: each cost is the unary plus
+    # beta added once per disagreeing neighbor, exactly as a float64
+    # vector sum would give, without numpy's per-call overhead per pixel
+    beta = float(cfg.beta)
+    costs = unary.tolist()
+    field = labels.tolist()
+    classes = range(k)
     for _ in range(cfg.max_iters):
         changed = False
         for r in range(h):
+            row, unary_row = field[r], costs[r]
+            above = field[r - 1] if r > 0 else None
+            below = field[r + 1] if r < h - 1 else None
             for c in range(w):
-                cost = unary[r, c].copy()
-                if r > 0:
-                    cost += cfg.beta * (classes != labels[r - 1, c])
-                if r < h - 1:
-                    cost += cfg.beta * (classes != labels[r + 1, c])
+                neighbors = []
+                if above is not None:
+                    neighbors.append(above[c])
+                if below is not None:
+                    neighbors.append(below[c])
                 if c > 0:
-                    cost += cfg.beta * (classes != labels[r, c - 1])
+                    neighbors.append(row[c - 1])
                 if c < w - 1:
-                    cost += cfg.beta * (classes != labels[r, c + 1])
-                best = int(cost.argmin())
+                    neighbors.append(row[c + 1])
+                cost = unary_row[c][:]
+                for other in neighbors:
+                    for j in classes:
+                        if j != other:
+                            cost[j] += beta
+                best = min(classes, key=cost.__getitem__)  # first min wins
                 # relabel only on strict improvement so ties cannot oscillate
-                if cost[best] < cost[labels[r, c]]:
-                    labels[r, c] = best
+                if cost[best] < cost[row[c]]:
+                    row[c] = best
                     changed = True
         if not changed:
             break
-    return labels.astype(np.uint8)
+    return np.array(field, dtype=np.uint8).reshape(h, w)

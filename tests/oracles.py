@@ -29,3 +29,32 @@ def extract_patch(image, center: tuple[int, int], patch_size: int) -> np.ndarray
     rows = [mirror_index(r - half + t, h) for t in range(patch_size)]
     cols = [mirror_index(c - half + t, w) for t in range(patch_size)]
     return img[np.ix_(rows, cols)]
+
+
+def icm_labels(probs: np.ndarray, beta: float, max_iters: int) -> np.ndarray:
+    """ICM under the Potts prior in whole-vector float64 arithmetic.
+
+    Raster-order sweeps from the argmax; a pixel takes the first class of
+    least unary + beta * (number of disagreeing 4-neighbors), and only if
+    that strictly beats its current cost.  Stops after a sweep without a
+    change or after ``max_iters`` sweeps.
+    """
+    h, w, k = probs.shape
+    unary = -np.log(np.maximum(probs, 1e-12))
+    labels = probs.argmax(axis=2)
+    classes = np.arange(k)
+    for _ in range(max_iters):
+        changed = False
+        for r in range(h):
+            for c in range(w):
+                cost = unary[r, c].copy()
+                for rr, cc in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
+                    if 0 <= rr < h and 0 <= cc < w:
+                        cost += beta * (classes != labels[rr, cc])
+                best = int(cost.argmin())
+                if cost[best] < cost[labels[r, c]]:
+                    labels[r, c] = best
+                    changed = True
+        if not changed:
+            break
+    return labels.astype(np.uint8)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oracles import icm_labels
 from tvseg.mrf import MrfConfig, argmax_labels, icm_smooth, potts_energy
 
 
@@ -104,3 +105,23 @@ def test_icm_output_dtype_and_range():
     assert lab.dtype == np.uint8
     assert lab.shape == (6, 5)
     assert lab.max() < 3
+
+
+def test_icm_matches_array_oracle():
+    # exact labels on random, tie-heavy and peaked maps of every shape,
+    # including single rows and columns
+    rng = np.random.default_rng(13)
+    for trial in range(60):
+        h, w, k = (int(v) for v in rng.integers((1, 1, 2), (12, 12, 5)))
+        if trial % 3 == 0:
+            p = _random_map(rng, h, w, k)
+        elif trial % 3 == 1:
+            # few distinct levels, so equal costs are common
+            p = rng.integers(1, 3, (h, w, k)).astype(np.float64)
+            p /= p.sum(axis=2, keepdims=True)
+        else:
+            p = rng.dirichlet(np.full(k, 0.3), (h, w))
+        for beta in (0.05, 0.5, 1, 4.0):
+            iters = int(rng.integers(1, 11))
+            got = icm_smooth(p, MrfConfig(beta=beta, max_iters=iters))
+            assert np.array_equal(got, icm_labels(p, beta, iters)), (trial, beta)
