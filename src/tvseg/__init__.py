@@ -18,7 +18,8 @@ from .data import (LabeledImage, SparseLabelSet, SynthConfig, UNLABELED,
                    synth_generate)
 from .errors import NumericalError
 from .evaluate import (ExperimentConfig, ExperimentResult, ExperimentRow,
-                       emit_table, pixel_error, run_experiment)
+                       emit_table, pixel_error, pooled_error,
+                       run_experiment)
 from .mrf import MrfConfig, argmax_labels, icm_smooth, potts_energy
 from .network import (LayerSpec, Network, default_specs, load_checkpoint,
                       save_checkpoint, sgd_step)
@@ -37,7 +38,8 @@ __all__ = [
     "UNLABELED", "argmax_labels", "default_specs", "emit_table",
     "icm_smooth", "load_checkpoint", "load_dataset", "load_image",
     "load_labels", "load_prob_map", "load_sparse", "merge_sparse",
-    "pad_mirror", "pixel_error", "potts_energy", "predict_image", "read_pnm",
+    "pad_mirror", "pixel_error", "pooled_error", "potts_energy",
+    "predict_image", "read_pnm",
     "run_experiment", "sample_sparse_labels", "save_checkpoint",
     "save_dataset", "save_image", "save_labels", "save_prob_map",
     "save_sparse", "sgd_step", "supervised_grad", "synth_dataset",

@@ -10,21 +10,23 @@ failure, 3 IO error.
 import argparse
 import hashlib
 import json
+import math
 import re
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, is_dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .data import (SynthConfig, UNLABELED, load_dataset, load_image,
+from .data import (SynthConfig, load_dataset, load_image,
                    load_labels, load_prob_map, load_sparse, merge_sparse,
                    sample_sparse_labels, save_dataset, save_labels,
                    save_prob_map, save_sparse, synth_dataset)
 from .errors import NumericalError
-from .evaluate import ExperimentConfig, emit_table, pixel_error, run_experiment
+from .evaluate import (ExperimentConfig, emit_table, pixel_error, pooled_error,
+                       run_experiment)
 from .gradcheck import run_all
 from .mrf import MrfConfig, argmax_labels, icm_smooth
 from .network import load_checkpoint, save_checkpoint, specs_from_json, specs_to_json
@@ -69,52 +71,71 @@ def _write_manifest(path: Path, command: str, config: dict, seed, inputs) -> Non
         fh.write("\n")
 
 
+def _finite(parse):
+    """A JSON number hook that rejects NaN, infinities and literals that
+    overflow to infinity."""
+    def number(text: str):
+        if not math.isfinite(float(text)):
+            raise ValueError(f"config number {text[:24]} is not finite")
+        return parse(text)
+    return number
+
+
 def _load_config(path) -> dict:
     if path is None:
         return {}
     with open(path) as fh:
-        obj = json.load(fh)
+        try:
+            obj = json.load(fh, parse_constant=_finite(float),
+                            parse_float=_finite(float), parse_int=_finite(int))
+        except RecursionError as exc:
+            raise ValueError(f"config {path} is nested too deeply") from exc
     if not isinstance(obj, dict):
         raise ValueError(f"config {path} must hold a JSON object")
     return obj
 
 
-def _check_keys(d: dict, allowed, what: str) -> None:
-    unknown = set(d) - set(allowed)
+def _config(cls, raw, args=None):
+    """Build the config dataclass ``cls`` from a JSON object.
+
+    Every non-None attribute of ``args`` named like a field overrides the
+    JSON value.  Nested config sections are built by the same call, an
+    ``architecture`` goes through ``specs_from_json`` and other lists
+    become tuples.
+    """
+    section = cls.__name__.removesuffix("Config").lower()
+    if not isinstance(raw, dict):
+        raise ValueError(f"{section} config must be a JSON object")
+    types = {f.name: f.type for f in fields(cls)}
+    unknown = set(raw) - set(types)
     if unknown:
-        raise ValueError(f"unknown {what} config keys: {sorted(unknown)}")
+        raise ValueError(f"unknown {section} config keys: {sorted(unknown)}")
+    values = dict(raw)
+    for name in types:
+        if getattr(args, name, None) is not None:
+            values[name] = getattr(args, name)
+    for name, value in values.items():
+        if is_dataclass(types[name]):
+            values[name] = _config(types[name], value)
+        elif name == "architecture" and value is not None:
+            values[name] = specs_from_json(value)
+        elif isinstance(value, list):
+            values[name] = tuple(value)
+    return cls(**values)
 
 
-_TRAIN_KEYS = tuple(f.name for f in fields(TrainConfig))
-_SYNTH_KEYS = tuple(f.name for f in fields(SynthConfig))
-
-
-def _build_train_config(d: dict) -> TrainConfig:
-    _check_keys(d, _TRAIN_KEYS, "train")
-    d = dict(d)
-    if d.get("architecture") is not None:
-        d["architecture"] = specs_from_json(d["architecture"])
-    return TrainConfig(**d)
-
-
-def _build_synth_config(d: dict) -> SynthConfig:
-    _check_keys(d, _SYNTH_KEYS, "synth")
-    return SynthConfig(**d)
-
-
-def _train_config_json(cfg: TrainConfig) -> dict:
-    d = asdict(cfg)
-    if cfg.architecture is not None:
-        d["architecture"] = specs_to_json(cfg.architecture)
-    return d
-
-
-def _apply_overrides(cfg_dict: dict, args, names) -> dict:
-    out = dict(cfg_dict)
-    for name in names:
-        value = getattr(args, name, None)
-        if value is not None:
-            out[name] = value
+def _config_json(cfg) -> dict:
+    """The JSON object that ``_config`` builds ``cfg`` from."""
+    out = {}
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if is_dataclass(value):
+            value = _config_json(value)
+        elif f.name == "architecture" and value is not None:
+            value = specs_to_json(value)
+        elif isinstance(value, tuple):
+            value = list(value)
+        out[f.name] = value
     return out
 
 
@@ -136,22 +157,17 @@ def _str_list(text: str) -> list[str]:
 
 def cmd_synth(args) -> int:
     raw = _load_config(args.config)
-    _check_keys(raw, _SYNTH_KEYS + ("num_train", "num_test"), "synth")
     num_train = int(raw.pop("num_train", 20))
     num_test = int(raw.pop("num_test", 20))
     if args.num_train is not None:
         num_train = args.num_train
     if args.num_test is not None:
         num_test = args.num_test
-    raw = _apply_overrides(raw, args, ("height", "width", "num_shapes",
-                                       "noise_std", "num_classes", "seed",
-                                       "shade_split", "shade_split_prob",
-                                       "shade_jitter"))
-    cfg = _build_synth_config(raw)
+    cfg = _config(SynthConfig, raw, args)
     out = Path(args.out)
     save_dataset(out / "train", synth_dataset(cfg, num_train, "train", seed_offset=0))
     save_dataset(out / "test", synth_dataset(cfg, num_test, "test", seed_offset=1))
-    resolved = dict(asdict(cfg), num_train=num_train, num_test=num_test)
+    resolved = dict(_config_json(cfg), num_train=num_train, num_test=num_test)
     _write_manifest(out / "manifest.json", "synth", resolved, cfg.seed,
                     [args.config] if args.config else [])
     print(f"wrote {num_train} train and {num_test} test images under {out}")
@@ -181,11 +197,7 @@ def cmd_sample(args) -> int:
 
 
 def cmd_train(args) -> int:
-    raw = _apply_overrides(_load_config(args.config), args,
-                           ("alpha", "lr", "weight_decay", "sup_batch",
-                            "unsup_batch", "iterations", "supervised_loss",
-                            "seed", "patch_size", "num_classes"))
-    cfg = _build_train_config(raw)
+    cfg = _config(TrainConfig, _load_config(args.config), args)
     images = load_dataset(Path(args.data))
     sparse = load_sparse(Path(args.sparse))
     net, report = train(images, sparse, cfg)
@@ -198,7 +210,7 @@ def cmd_train(args) -> int:
     if args.config:
         inputs.append(Path(args.config))
     _write_manifest(out.with_suffix(out.suffix + ".manifest.json"), "train",
-                    _train_config_json(cfg), cfg.seed, inputs)
+                    _config_json(cfg), cfg.seed, inputs)
     print(f"trained {cfg.iterations} iterations; checkpoint {out}, report {report_path}")
     return 0
 
@@ -252,66 +264,26 @@ def cmd_eval(args) -> int:
     common = sorted(set(preds) & set(truths))
     if not common:
         raise ValueError(f"no matching label images between {pred_dir} and {truth_dir}")
+    pred_labels = {stem: load_labels(preds[stem]) for stem in common}
+    truth_labels = {stem: load_labels(truths[stem]) for stem in common}
+    errors = {stem: pixel_error(pred_labels[stem], truth_labels[stem]) for stem in common}
+    overall = pooled_error(pred_labels, truth_labels)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    wrong = total = 0
     with open(out, "w") as fh:
         fh.write("image_id,pixel_error\n")
-        for stem in common:
-            pred = load_labels(preds[stem])
-            truth = load_labels(truths[stem])
-            err = pixel_error(pred, truth)
-            mask = truth != UNLABELED
-            wrong += int((pred[mask] != truth[mask]).sum())
-            total += int(mask.sum())
+        for stem, err in errors.items():
             fh.write(f"{stem},{err!r}\n")
-        fh.write(f"OVERALL,{wrong / total!r}\n")
+        fh.write(f"OVERALL,{overall!r}\n")
     _write_manifest(out.with_suffix(out.suffix + ".manifest.json"), "eval",
                     {"pred": str(pred_dir), "truth": str(truth_dir)}, None,
                     [pred_dir, truth_dir])
-    print(f"evaluated {len(common)} images; overall error {wrong / total:.4f}")
+    print(f"evaluated {len(common)} images; overall error {overall:.4f}")
     return 0
 
 
-_EXPERIMENT_KEYS = tuple(f.name for f in fields(ExperimentConfig))
-
-
-def _build_experiment_config(raw: dict) -> ExperimentConfig:
-    _check_keys(raw, _EXPERIMENT_KEYS, "experiment")
-    d = dict(raw)
-    if "train" in d:
-        d["train"] = _build_train_config(d["train"])
-    if "synth" in d:
-        d["synth"] = _build_synth_config(d["synth"])
-    for key in ("labels_per_image", "modes", "alphas", "mrf_betas"):
-        if key in d:
-            d[key] = tuple(d[key])
-    return ExperimentConfig(**d)
-
-
-def _experiment_config_json(cfg: ExperimentConfig) -> dict:
-    d = asdict(cfg)
-    d["train"] = _train_config_json(cfg.train)
-    for key in ("labels_per_image", "modes", "alphas", "mrf_betas"):
-        d[key] = list(d[key])
-    return d
-
-
 def cmd_experiment(args) -> int:
-    raw = _load_config(args.config)
-    if args.master_seed is not None:
-        raw["master_seed"] = args.master_seed
-    if args.trials is not None:
-        raw["trials"] = args.trials
-    if args.labels_per_image is not None:
-        raw["labels_per_image"] = _int_list(args.labels_per_image)
-    if args.modes is not None:
-        raw["modes"] = _str_list(args.modes)
-    if args.alphas is not None:
-        raw["alphas"] = _float_list(args.alphas)
-    if args.data_dir is not None:
-        raw["data_dir"] = args.data_dir
-    cfg = _build_experiment_config(raw)
+    cfg = _config(ExperimentConfig, _load_config(args.config), args)
     result = run_experiment(cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -320,7 +292,7 @@ def cmd_experiment(args) -> int:
     if cfg.data_dir:
         inputs.append(cfg.data_dir)
     _write_manifest(out / "manifest.json", "experiment",
-                    _experiment_config_json(cfg), cfg.master_seed, inputs)
+                    _config_json(cfg), cfg.master_seed, inputs)
     print(f"wrote {len(result.rows)} result rows to {out / 'results.csv'}")
     return 0
 
@@ -414,11 +386,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--master-seed", dest="master_seed", type=int)
     p.add_argument("--trials", type=int)
-    p.add_argument("--labels-per-image", dest="labels_per_image",
+    p.add_argument("--labels-per-image", dest="labels_per_image", type=_int_list,
                    help="comma-separated sizes, e.g. 10,50")
-    p.add_argument("--modes", help="comma-separated subset of "
+    p.add_argument("--modes", type=_str_list, help="comma-separated subset of "
                                    "supervised,mrf_post,semi_supervised")
-    p.add_argument("--alphas", help="comma-separated smoothness weights")
+    p.add_argument("--alphas", type=_float_list,
+                   help="comma-separated smoothness weights")
     p.add_argument("--data-dir", dest="data_dir",
                    help="dataset directory (overrides synthetic data)")
     p.set_defaults(func=cmd_experiment)
@@ -441,10 +414,7 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-    except PnmError as exc:
-        print(f"IO error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+    except (PnmError, OSError) as exc:
         print(f"IO error: {exc}", file=sys.stderr)
         return 3
     except (ValueError, KeyError, TypeError) as exc:

@@ -31,29 +31,38 @@ from .trainer import TrainConfig, predict_image, train
 MODES = ("supervised", "mrf_post", "semi_supervised")
 
 
-def pixel_error(pred: np.ndarray, truth: np.ndarray) -> float:
-    """Fraction of evaluated pixels where pred differs from truth.
-
-    Pixels whose truth is the UNLABELED sentinel are excluded.
-    """
+def _wrong_and_evaluated(pred: np.ndarray, truth: np.ndarray) -> tuple[int, int]:
+    """Wrong and evaluated pixel counts; UNLABELED truth is not evaluated."""
     pred = np.asarray(pred)
     truth = np.asarray(truth)
     if pred.shape != truth.shape or pred.ndim != 2:
         raise ValueError(f"label shapes differ: {pred.shape} vs {truth.shape}")
     mask = truth != UNLABELED
-    n = int(mask.sum())
+    return int((pred[mask] != truth[mask]).sum()), int(mask.sum())
+
+
+def pixel_error(pred: np.ndarray, truth: np.ndarray) -> float:
+    """Fraction of evaluated pixels where pred differs from truth.
+
+    Pixels whose truth is the UNLABELED sentinel are excluded.
+    """
+    wrong, n = _wrong_and_evaluated(pred, truth)
     if n == 0:
         raise ValueError("no evaluated pixels: truth is entirely unlabeled")
-    return float((pred[mask] != truth[mask]).sum()) / n
+    return wrong / n
 
 
-def _pooled_error(preds: dict[str, np.ndarray], images: dict[str, LabeledImage]) -> float:
-    """Pixel error pooled over all evaluated pixels of several images."""
+def pooled_error(preds: dict[str, np.ndarray], truths: dict[str, np.ndarray]) -> float:
+    """Pixel error pooled over the evaluated pixels of every image in ``truths``.
+
+    Each pixel weighs the same, so this is not the mean of the per-image
+    errors when the images differ in size.
+    """
     wrong = total = 0
-    for name, li in images.items():
-        mask = li.labels != UNLABELED
-        wrong += int((preds[name][mask] != li.labels[mask]).sum())
-        total += int(mask.sum())
+    for name, truth in truths.items():
+        w, n = _wrong_and_evaluated(preds[name], truth)
+        wrong += w
+        total += n
     if total == 0:
         raise ValueError("no evaluated pixels in any image")
     return wrong / total
@@ -158,6 +167,8 @@ def run_experiment(cfg: ExperimentConfig,
     k = cfg.train.num_classes
     _check_labels(train_images, k, "train")
     _check_labels(test_images, k, "test")
+    train_truth = {name: li.labels for name, li in train_images.items()}
+    test_truth = {name: li.labels for name, li in test_images.items()}
 
     need_sup = "supervised" in cfg.modes or "mrf_post" in cfg.modes
     rows: list[ExperimentRow] = []
@@ -177,25 +188,25 @@ def run_experiment(cfg: ExperimentConfig,
             if need_sup:
                 net0, _ = train(train_images, sparse, replace(base, alpha=0.0))
                 test_probs = _predict_all(net0, test_images)
-                sup_errs.append(_pooled_error(_argmax_all(test_probs), test_images))
+                sup_errs.append(pooled_error(_argmax_all(test_probs), test_truth))
                 if "mrf_post" in cfg.modes:
                     train_probs = _predict_all(net0, train_images)
                     best_beta, best_err = cfg.mrf_betas[0], np.inf
                     for beta in cfg.mrf_betas:
                         mc = MrfConfig(beta, cfg.mrf_max_iters)
                         smoothed = {n: icm_smooth(p, mc) for n, p in train_probs.items()}
-                        err = _pooled_error(smoothed, train_images)
+                        err = pooled_error(smoothed, train_truth)
                         if err < best_err:
                             best_beta, best_err = beta, err
                     mc = MrfConfig(best_beta, cfg.mrf_max_iters)
                     smoothed = {n: icm_smooth(p, mc) for n, p in test_probs.items()}
-                    mrf_errs.append(_pooled_error(smoothed, test_images))
+                    mrf_errs.append(pooled_error(smoothed, test_truth))
 
             if "semi_supervised" in cfg.modes:
                 for a in cfg.alphas:
                     net, _ = train(train_images, sparse, replace(base, alpha=a))
                     preds = _argmax_all(_predict_all(net, test_images))
-                    semi_errs[a].append(_pooled_error(preds, test_images))
+                    semi_errs[a].append(pooled_error(preds, test_truth))
 
         if "supervised" in cfg.modes:
             rows.append(_make_row(size, "supervised", sup_errs))

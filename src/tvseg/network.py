@@ -358,16 +358,15 @@ def sgd_step(net: Network, grads: np.ndarray, lr: float, weight_decay: float = 0
 # -- checkpoints -------------------------------------------------------------
 
 
+# The fields of a checkpoint's JSON metadata.  All but version and specs
+# are Network attributes, stored as they are.
+_CHECKPOINT_META = ("version", "specs", "patch_size", "num_classes", "in_channels", "seed")
+
+
 def save_checkpoint(net: Network, path) -> None:
     """Write a versioned checkpoint; round-trips bit-exactly."""
-    meta = {
-        "version": CHECKPOINT_VERSION,
-        "specs": specs_to_json(net.specs),
-        "patch_size": net.patch_size,
-        "num_classes": net.num_classes,
-        "in_channels": net.in_channels,
-        "seed": net.seed,
-    }
+    meta = {"version": CHECKPOINT_VERSION, "specs": specs_to_json(net.specs)}
+    meta.update((name, getattr(net, name)) for name in _CHECKPOINT_META if name not in meta)
     raw = np.frombuffer(json.dumps(meta, sort_keys=True).encode("utf-8"), dtype=np.uint8)
     with open(path, "wb") as fh:
         np.savez(fh, meta=raw, params=net.params)
@@ -387,8 +386,11 @@ def load_checkpoint(path) -> Network:
     meta = json.loads(raw_meta.decode("utf-8"))
     if not isinstance(meta, dict):
         raise ValueError(f"{path}: checkpoint metadata must be a JSON object")
-    if meta.get("version") != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {meta.get('version')!r}")
+    missing = [name for name in _CHECKPOINT_META if name not in meta]
+    if missing:
+        raise ValueError(f"{path}: checkpoint metadata lacks {', '.join(missing)}")
+    if meta["version"] != CHECKPOINT_VERSION:
+        raise ValueError(f"unsupported checkpoint version {meta['version']!r}")
     params = np.array(raw_params, dtype=np.float64)
     if not np.isfinite(params).all():
         raise ValueError(f"{path}: checkpoint holds non-finite parameters")

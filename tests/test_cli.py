@@ -2,14 +2,16 @@
 
 import io
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from tvseg.cli import _build_train_config, _train_config_json, main
-from tvseg.data import load_labels
-from tvseg.evaluate import parse_table
-from tvseg.network import LayerSpec, Network, save_checkpoint
+from tvseg.cli import _config, _config_json, _load_config, build_parser, main
+from tvseg.data import UNLABELED, SynthConfig, load_labels, save_labels
+from tvseg.evaluate import ExperimentConfig, parse_table
+from tvseg.network import LAYER_KINDS, LayerSpec, Network, save_checkpoint
 from tvseg.pnm import read_pnm
 from tvseg.trainer import TrainConfig
 
@@ -174,9 +176,169 @@ def test_predict_unreadable_checkpoint_exits_with_code(tmp_path, content, code):
 
 def test_train_config_json_round_trip():
     specs = tuple(LayerSpec(k, s) for k, s in TINY_JSON)
-    cfg = TrainConfig(alpha=0.3, patch_size=9, supervised_loss="mse", architecture=specs)
-    assert _build_train_config(_train_config_json(cfg)) == cfg
-    assert _build_train_config(json.loads(json.dumps(_train_config_json(cfg)))) == cfg
+    train = TrainConfig(alpha=0.3, patch_size=9, supervised_loss="mse", architecture=specs)
+    synth = SynthConfig(height=9, width=11, noise_std=0.2, num_classes=3, channels=3)
+    experiment = ExperimentConfig(labels_per_image=(3, 7), trials=2,
+                                  modes=("supervised", "semi_supervised"),
+                                  train=TrainConfig(num_classes=3, architecture=specs),
+                                  alphas=(0.5,), mrf_betas=(1.0, 3.0), synth=synth,
+                                  num_train=4, data_dir="somewhere")
+    for cfg in (train, TrainConfig(), synth, experiment, ExperimentConfig()):
+        assert _config(type(cfg), _config_json(cfg)) == cfg
+        assert _config(type(cfg), json.loads(json.dumps(_config_json(cfg)))) == cfg
+    obj = _config_json(experiment)
+    assert obj["train"]["architecture"] == [list(e) for e in TINY_JSON]
+    assert obj["labels_per_image"] == [3, 7] and obj["synth"]["channels"] == 3
+
+
+# flag, its value, and the field value it must give; every value differs
+# from the field's default
+OVERRIDES = {
+    "synth": [("--height", "7", 7), ("--width", "9", 9), ("--num-shapes", "2", 2),
+              ("--noise-std", "0.25", 0.25), ("--num-classes", "3", 3),
+              ("--seed", "11", 11), ("--shade-split", "0.5", 0.5),
+              ("--shade-split-prob", "0.2", 0.2), ("--shade-jitter", "0.05", 0.05)],
+    "train": [("--alpha", "0.7", 0.7), ("--lr", "0.01", 0.01),
+              ("--weight-decay", "0.002", 0.002), ("--sup-batch", "3", 3),
+              ("--unsup-batch", "4", 4), ("--iterations", "9", 9),
+              ("--supervised-loss", "mse", "mse"), ("--seed", "13", 13),
+              ("--patch-size", "7", 7), ("--num-classes", "3", 3)],
+    "experiment": [("--master-seed", "4", 4), ("--trials", "2", 2),
+                   ("--labels-per-image", "3,40", (3, 40)),
+                   ("--modes", "supervised,mrf_post", ("supervised", "mrf_post")),
+                   ("--alphas", "0.5,2", (0.5, 2.0)), ("--data-dir", "d", "d")],
+}
+REQUIRED = {"synth": ["--out", "o"],
+            "train": ["--data", "d", "--sparse", "s", "--out", "o"],
+            "experiment": ["--out", "o"]}
+CONFIGS = {"synth": SynthConfig, "train": TrainConfig, "experiment": ExperimentConfig}
+
+
+@pytest.mark.parametrize("command", sorted(OVERRIDES))
+def test_override_flags_reach_their_fields(command):
+    cls, parser = CONFIGS[command], build_parser()
+    names = {f.name for f in fields(cls)}
+    bare = vars(parser.parse_args([command] + REQUIRED[command]))
+    overridable = {dest for dest in bare if dest in names}
+    cases = OVERRIDES[command]
+    assert overridable == {flag[2:].replace("-", "_") for flag, _, _ in cases}
+    default = cls()
+    for flag, text, expected in cases:
+        name = flag[2:].replace("-", "_")
+        assert getattr(default, name) != expected
+        args = parser.parse_args([command] + REQUIRED[command] + [flag, text])
+        # the flag wins over the config file's value of the same field
+        cfg = _config(cls, _config_json(default), args)
+        assert getattr(cfg, name) == expected
+        changed = {k for k, v in _config_json(cfg).items() if v != _config_json(default)[k]}
+        assert changed == {name}
+
+
+_OVERFLOW = "<1e400>"  # replaced by the bare literal 1e400 in the config text
+_numbers = st.one_of(st.integers(-3, 40), st.integers(), st.floats(-2, 50),
+                     st.floats(), st.just(_OVERFLOW))
+_json = st.recursive(
+    st.one_of(st.none(), st.booleans(), _numbers, st.text(max_size=6)),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=6), kids,
+                                                              max_size=3),
+    max_leaves=6)
+_kinds = st.sampled_from(LAYER_KINDS + ("bogus",))
+_architectures = st.lists(st.one_of(_kinds, st.lists(st.one_of(_kinds, _numbers), max_size=3),
+                                    _json), max_size=5)
+
+
+def _config_objects(cls):
+    """JSON objects built from the fields of ``cls``, an unknown key, and
+    values that are mostly plausible and sometimes of any JSON type."""
+    default = _config_json(cls())
+
+    def value(name):
+        if name in ("train", "synth"):
+            return st.one_of(_config_objects(CONFIGS[name]), _json)
+        if name == "architecture":
+            plausible = _architectures
+        elif isinstance(default.get(name), list):
+            plausible = st.lists(st.sampled_from(default[name]) | _numbers, max_size=3)
+        else:
+            plausible = st.one_of(_numbers, _json)
+        return st.one_of(st.just(default.get(name)), plausible)
+
+    keys = st.lists(st.sampled_from(sorted(default) + ["bogus_key"]), unique=True)
+    return keys.flatmap(lambda ks: st.fixed_dictionaries({k: value(k) for k in ks}))
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_config_fuzz_builds_or_rejects(tmp_path, data):
+    cls = data.draw(st.sampled_from([SynthConfig, TrainConfig, ExperimentConfig]))
+    obj = data.draw(_config_objects(cls))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(obj).replace(json.dumps(_OVERFLOW), "1e400"))
+    try:
+        cfg = _config(cls, _load_config(path))
+    except (ValueError, KeyError, TypeError):  # what main() reports with exit 1
+        return
+    assert _config(cls, json.loads(json.dumps(_config_json(cfg), allow_nan=False))) == cfg
+
+
+@pytest.mark.parametrize("command, config", [
+    (["train", "--data", "d", "--sparse", "s.csv", "--out", "m.npz"],
+     '{"architecture": [["dense", 1e400]]}'),
+    (["train", "--data", "d", "--sparse", "s.csv", "--out", "m.npz"], '{"alpha": NaN}'),
+    (["synth", "--out", "d"], '{"num_train": 1e400}'),
+    (["synth", "--out", "d"], '{"height": 1%s}' % ("0" * 400)),
+    (["experiment", "--out", "e"],
+     '{"train": {"architecture": [["conv3x3", Infinity], ["softmax", 0]]}}'),
+    (["experiment", "--out", "e"], "[" * 100000 + "]" * 100000),
+], ids=["train_1e400", "train_nan", "synth_1e400", "synth_huge_int",
+        "experiment_infinity", "experiment_deep_nesting"])
+def test_nonfinite_config_numbers_exit_one(tmp_path, monkeypatch, command, config):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.json").write_text(config)
+    assert main(command + ["--config", "bad.json"]) == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
+
+
+@pytest.mark.parametrize("field", ["version", "specs", "patch_size", "num_classes",
+                                   "in_channels", "seed"])
+def test_checkpoint_missing_metadata_field_exits_one(tmp_path, capsys, field):
+    specs = tuple(LayerSpec(k, s) for k, s in TINY_JSON)
+    good = tmp_path / "good.npz"
+    save_checkpoint(Network(specs, 9, 2), good)
+    with np.load(good) as data:
+        meta, params = json.loads(bytes(data["meta"])), data["params"]
+    assert field in meta
+    del meta[field]
+    ckpt = tmp_path / "bad.npz"
+    np.savez(ckpt, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
+             params=params)
+    img = tmp_path / "img.pgm"
+    img.write_bytes(b"P5\n4 3\n255\n" + bytes(range(12)))
+    assert main(["predict", "--checkpoint", str(ckpt), "--image", str(img),
+                 "--out-prefix", str(tmp_path / "out" / "p")]) == 1
+    err = capsys.readouterr().err
+    assert str(ckpt) in err and field in err
+    assert not list(tmp_path.rglob("*_class*.pgm"))
+
+
+def test_eval_overall_is_pixel_pooled(tmp_path):
+    # 2x2 image all wrong (4 pixels) and 4x4 image all right with 6 of its
+    # 16 pixels unlabeled: pooled 4/14, while the per-image mean is 0.5
+    pred, truth = tmp_path / "pred", tmp_path / "truth"
+    pred.mkdir()
+    truth.mkdir()
+    small = np.zeros((2, 2), dtype=np.uint8)
+    large = np.ones((4, 4), dtype=np.uint8)
+    save_labels(pred / "a_labels.pgm", small + 1)
+    save_labels(truth / "a.pgm", small)
+    save_labels(pred / "b_labels.pgm", large)
+    large.flat[:6] = UNLABELED
+    save_labels(truth / "b.pgm", large)
+    out = tmp_path / "errors.csv"
+    assert main(["eval", "--pred", str(pred), "--truth", str(truth), "--out", str(out)]) == 0
+    assert out.read_text().splitlines() == [
+        "image_id,pixel_error", "a,1.0", "b,0.0", f"OVERALL,{4 / 14!r}"]
 
 
 def test_experiment_command(tmp_path):
