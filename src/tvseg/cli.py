@@ -417,7 +417,7 @@ def main(argv=None) -> int:
     except (PnmError, OSError) as exc:
         print(f"IO error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, MemoryError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 1
 

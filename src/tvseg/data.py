@@ -287,7 +287,12 @@ def load_prob_map(paths) -> np.ndarray:
 
 
 def save_sparse(sls: SparseLabelSet, path) -> None:
-    with open(path, "w", newline="") as fh:
+    """Write ``sls`` as CSV.  Image ids may not hold a carriage return: the
+    csv writer leaves it unquoted, and the reader would split the row."""
+    for image_id, _, _, _ in sls.entries:
+        if "\r" in image_id:
+            raise ValueError(f"sparse image id {image_id!r} holds a carriage return")
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["image_id", "row", "col", "class"])
         for entry in sls.entries:
@@ -295,7 +300,7 @@ def save_sparse(sls: SparseLabelSet, path) -> None:
 
 
 def load_sparse(path) -> SparseLabelSet:
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != ["image_id", "row", "col", "class"]:

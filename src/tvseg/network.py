@@ -20,6 +20,7 @@ losses use the same entry point.
 """
 
 import json
+import math
 import zipfile
 from dataclasses import dataclass
 
@@ -28,9 +29,6 @@ import numpy as np
 from .errors import NumericalError
 
 CHECKPOINT_VERSION = 1
-
-LAYER_KINDS = ("conv3x3", "relu", "maxpool2x2", "dense", "softmax")
-
 
 @dataclass(frozen=True)
 class LayerSpec:
@@ -75,7 +73,10 @@ def specs_from_json(obj) -> tuple[LayerSpec, ...]:
 
 
 # ---------------------------------------------------------------------------
-# layer implementations; x is always a batch (N, ...) float64 array
+# layer implementations; x is always a batch (N, ...) float64 array.  Each
+# layer is built from (in_shape, size); a trainable layer sets ``w_shape``
+# with its output units last, and Network derives its bias length,
+# parameter count and He fan-in from that shape alone.
 
 
 class _Conv3x3:
@@ -83,16 +84,12 @@ class _Conv3x3:
         h, w, c = in_shape
         if h < 3 or w < 3:
             raise ValueError(f"conv3x3 input {h}x{w} smaller than kernel")
-        self.in_shape = in_shape
         self.out_shape = (h - 2, w - 2, maps)
         self.w_shape = (3, 3, c, maps)
-        self.b_size = maps
-        self.n_params = 9 * c * maps + maps
-        self.fan_in = 9 * c
 
     def forward(self, x, w, b):
-        ho, wo, _ = self.out_shape
-        y = np.broadcast_to(b, (x.shape[0], ho, wo, self.b_size)).copy()
+        ho, wo, maps = self.out_shape
+        y = np.broadcast_to(b, (x.shape[0], ho, wo, maps)).copy()
         for i in range(3):
             for j in range(3):
                 y += np.tensordot(x[:, i:i + ho, j:j + wo, :], w[i, j], axes=([3], [0]))
@@ -112,10 +109,10 @@ class _Conv3x3:
 
 
 class _ReLU:
-    def __init__(self, in_shape):
-        self.in_shape = in_shape
+    w_shape = None
+
+    def __init__(self, in_shape, size):
         self.out_shape = in_shape
-        self.n_params = 0
 
     def forward(self, x, w, b):
         return np.maximum(x, 0.0), x > 0.0
@@ -125,13 +122,14 @@ class _ReLU:
 
 
 class _MaxPool2x2:
-    def __init__(self, in_shape):
+    w_shape = None
+
+    def __init__(self, in_shape, size):
         h, w, c = in_shape
         if h < 2 or w < 2:
             raise ValueError(f"maxpool2x2 input {h}x{w} smaller than window")
         self.in_shape = in_shape
         self.out_shape = (h // 2, w // 2, c)
-        self.n_params = 0
 
     def forward(self, x, w, b):
         n = x.shape[0]
@@ -160,12 +158,8 @@ class _MaxPool2x2:
 class _Dense:
     def __init__(self, in_shape, units):
         self.in_shape = in_shape
-        n_in = int(np.prod(in_shape))
         self.out_shape = (units,)
-        self.w_shape = (n_in, units)
-        self.b_size = units
-        self.n_params = n_in * units + units
-        self.fan_in = n_in
+        self.w_shape = (math.prod(in_shape), units)
 
     def forward(self, x, w, b):
         xf = x.reshape(x.shape[0], -1)
@@ -179,12 +173,12 @@ class _Dense:
 
 
 class _Softmax:
-    def __init__(self, in_shape):
+    w_shape = None
+
+    def __init__(self, in_shape, size):
         if len(in_shape) != 1:
             raise ValueError("softmax input must be a flat vector; add a dense layer first")
-        self.in_shape = in_shape
         self.out_shape = in_shape
-        self.n_params = 0
 
     def forward(self, x, w, b):
         z = x - x.max(axis=1, keepdims=True)
@@ -197,13 +191,10 @@ class _Softmax:
         return p * (dout - (dout * p).sum(axis=1, keepdims=True))
 
 
-_LAYER_BUILDERS = {
-    "conv3x3": lambda shape, spec: _Conv3x3(shape, spec.size),
-    "relu": lambda shape, spec: _ReLU(shape),
-    "maxpool2x2": lambda shape, spec: _MaxPool2x2(shape),
-    "dense": lambda shape, spec: _Dense(shape, spec.size),
-    "softmax": lambda shape, spec: _Softmax(shape),
-}
+_LAYERS = {"conv3x3": _Conv3x3, "relu": _ReLU, "maxpool2x2": _MaxPool2x2,
+           "dense": _Dense, "softmax": _Softmax}
+
+LAYER_KINDS = tuple(_LAYERS)
 
 
 @dataclass
@@ -238,24 +229,28 @@ class Network:
         self.in_channels = in_channels
         self.seed = seed
 
+        # the flat vector holds, per trainable layer, its weights then its
+        # biases; _slots keeps each layer's (weight slice, bias slice,
+        # He fan-in), or None for a fixed layer
         shape = (patch_size, patch_size, in_channels)
         self._layers = []
-        offsets = []
+        self._slots = []
         total = 0
-        trainable = 0
         for spec in specs:
-            layer = _LAYER_BUILDERS[spec.kind](shape, spec)
+            layer = _LAYERS[spec.kind](shape, spec.size)
+            slot = None
+            if layer.w_shape is not None:
+                fan_in, units = math.prod(layer.w_shape[:-1]), layer.w_shape[-1]
+                w_end = total + fan_in * units
+                slot = (slice(total, w_end), slice(w_end, w_end + units), fan_in)
+                total = w_end + units
             self._layers.append(layer)
-            offsets.append(total)
-            total += layer.n_params
-            trainable += layer.n_params > 0
+            self._slots.append(slot)
             shape = layer.out_shape
         if shape != (num_classes,):
             raise ValueError(
                 f"network outputs {shape}, expected ({num_classes},); "
                 "the layer before softmax must emit one unit per class")
-        if trainable == 0:
-            raise ValueError("network has no trainable layers")
 
         if params is None:
             params = np.zeros(total)
@@ -264,7 +259,6 @@ class Network:
             if params.shape != (total,):
                 raise ValueError(f"expected {total} parameters, got {params.shape}")
         self.params = params
-        self._offsets = offsets
         self._version = 0
 
     @property
@@ -273,16 +267,9 @@ class Network:
 
     def _views(self, vec):
         """Per-layer (w, b) views into a flat vector; None for fixed layers."""
-        views = []
-        for layer, off in zip(self._layers, self._offsets):
-            if layer.n_params == 0:
-                views.append((None, None))
-            else:
-                n_w = int(np.prod(layer.w_shape))
-                w = vec[off:off + n_w].reshape(layer.w_shape)
-                b = vec[off + n_w:off + layer.n_params]
-                views.append((w, b))
-        return views
+        return [(None, None) if slot is None else
+                (vec[slot[0]].reshape(layer.w_shape), vec[slot[1]])
+                for layer, slot in zip(self._layers, self._slots)]
 
     @classmethod
     def init(cls, specs, patch_size: int, num_classes: int, seed: int,
@@ -290,11 +277,9 @@ class Network:
         """He fan-in initialization: w ~ N(0, sqrt(2/fan_in)), zero biases."""
         net = cls(specs, patch_size, num_classes, in_channels, seed=seed)
         rng = np.random.default_rng(seed)
-        for layer, (w, b) in zip(net._layers, net._views(net.params)):
-            if w is None:
-                continue
-            w[:] = rng.normal(0.0, np.sqrt(2.0 / layer.fan_in), size=layer.w_shape)
-            b[:] = 0.0
+        for layer, slot, (w, _) in zip(net._layers, net._slots, net._views(net.params)):
+            if slot is not None:
+                w[:] = rng.normal(0.0, np.sqrt(2.0 / slot[2]), size=layer.w_shape)
         return net
 
     # -- forward / backward -------------------------------------------------

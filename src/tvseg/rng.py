@@ -16,7 +16,6 @@ ROLE_TRAIN = 2
 ROLE_SUP_DRAW = 3
 ROLE_UNSUP_DRAW = 4
 ROLE_INIT = 5
-ROLE_SYNTH = 6
 
 
 def mix_seed(*parts: int) -> int:

@@ -122,6 +122,17 @@ def _gather(windows: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarr
     return windows.transpose(0, 1, 3, 4, 2)[rows, cols]
 
 
+def _cut(windows: list, which: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """(N, P, P, C) patches centered at (rows[i], cols[i]) of image
+    ``which[i]``, with one ``_gather`` per image present."""
+    _, _, c, p, _ = windows[0].shape
+    out = np.empty((len(which), p, p, c))
+    for k in dict.fromkeys(which.tolist()):
+        at = which == k
+        out[at] = _gather(windows[k], rows[at], cols[at])
+    return out
+
+
 def _supervised_step(net: Network, patches: np.ndarray, labels: np.ndarray,
                      kind: str) -> tuple[float, np.ndarray]:
     """Mean supervised loss over a labeled batch and its parameter gradient."""
@@ -213,32 +224,26 @@ def train(images: dict[str, LabeledImage], sparse: SparseLabelSet,
                            seed=mix_seed(cfg.seed, ROLE_INIT),
                            in_channels=channels.pop())
 
-    ids = list(images.keys())
-    p = net.patch_size
-    windows = {name: _windows(images[name], p) for name in ids}
+    windows = [_windows(li, net.patch_size) for li in images.values()]
 
     # supervised samples are a fixed small set: cut their patches once
+    index = {name: k for k, name in enumerate(images)}
     names, rows, cols, classes = zip(*sparse.entries)
-    rows, cols = np.array(rows), np.array(cols)
+    sup_patches = _cut(windows, np.array([index[n] for n in names]),
+                       np.array(rows), np.array(cols))
     sup_labels = np.array(classes, dtype=np.int64)
-    sup_patches = np.empty((len(sparse), p, p, net.in_channels))
-    for name in dict.fromkeys(names):
-        at = [i for i, n in enumerate(names) if n == name]
-        sup_patches[at] = _gather(windows[name], rows[at], cols[at])
 
-    # flat index space over interior pixels of every image, for unsup draws
+    # flat index space over the interior pixels of every image, for unsup
+    # draws; an image without interior has count zero and is never drawn
     use_unsup = cfg.alpha > 0 and cfg.unsup_batch > 0
     if use_unsup:
-        interiors = []
-        for name in ids:
-            li = images[name]
-            ih, iw = li.height - 2, li.width - 2
-            if ih > 0 and iw > 0:
-                interiors.append((name, ih, iw))
-        counts = np.array([ih * iw for _, ih, iw in interiors], dtype=np.int64)
-        if counts.sum() == 0:
-            raise ValueError("no interior pixels available for the unsupervised loss")
+        heights = np.array([max(li.height - 2, 0) for li in images.values()])
+        widths = np.array([max(li.width - 2, 0) for li in images.values()])
+        counts = heights * widths
         bounds = np.cumsum(counts)
+        if bounds[-1] == 0:
+            raise ValueError("no interior pixels available for the unsupervised loss")
+        starts = bounds - counts
 
     rng_sup = make_rng(cfg.seed, ROLE_SUP_DRAW)
     rng_unsup = make_rng(cfg.seed, ROLE_UNSUP_DRAW)
@@ -255,14 +260,11 @@ def train(images: dict[str, LabeledImage], sparse: SparseLabelSet,
         unsup_value = 0.0
         if use_unsup:
             flat = rng_unsup.integers(0, bounds[-1], size=cfg.unsup_batch)
-            batch = np.empty((9 * cfg.unsup_batch, p, p, net.in_channels))
-            for bi, f in enumerate(flat):
-                which = int(np.searchsorted(bounds, f, side="right"))
-                name, ih, iw = interiors[which]
-                local = int(f) - (int(bounds[which - 1]) if which else 0)
-                row, col = 1 + local // iw, 1 + local % iw
-                batch[9 * bi:9 * bi + 9] = _gather(windows[name], row + _NB_ROWS,
-                                                   col + _NB_COLS)
+            which = np.searchsorted(bounds, flat, side="right")
+            rows, cols = np.divmod(flat - starts[which], widths[which])
+            # the neighborhood of interior pixel (1 + row, 1 + col)
+            batch = _cut(windows, np.repeat(which, 9), (rows[:, None] + 1 + _NB_ROWS).ravel(),
+                         (cols[:, None] + 1 + _NB_COLS).ravel())
             unsup_value, unsup_grads = _tv_step(net, batch, cfg.alpha / cfg.unsup_batch)
             unsup_value /= cfg.unsup_batch
             grads += unsup_grads

@@ -2,12 +2,17 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import tvseg
 from tvseg.cli import _config, _config_json, _load_config, build_parser, main
 from tvseg.data import UNLABELED, SynthConfig, load_labels, save_labels
 from tvseg.evaluate import ExperimentConfig, parse_table
@@ -405,6 +410,63 @@ def test_numerical_failure_exits_two(workspace, tmp_path):
                  "--data", str(workspace / "data" / "train"),
                  "--sparse", str(workspace / "sparse.csv"),
                  "--out", str(tmp_path / "m.npz")]) == 2
+
+
+# 225 inputs x 10**15 units: 1.8e18 float64 parameters (1.58 EiB), more
+# than any address space holds, so the allocation fails at once
+_UNALLOCATABLE = [["dense", 10 ** 15], ["dense", 2], ["softmax", 0]]
+
+
+def test_unallocatable_sizes_exit_one(workspace, tmp_path, capsys):
+    cfg = tmp_path / "huge.json"
+    cfg.write_text(json.dumps({"architecture": _UNALLOCATABLE}))
+    ckpt = tmp_path / "m.npz"
+    assert main(["train", "--config", str(cfg),
+                 "--data", str(workspace / "data" / "train"),
+                 "--sparse", str(workspace / "sparse.csv"),
+                 "--out", str(ckpt)]) == 1
+    assert not ckpt.exists()
+    exp = tmp_path / "exp.json"
+    exp.write_text(json.dumps({
+        "labels_per_image": [2], "trials": 1, "alphas": [0.1], "mrf_betas": [1.0],
+        "train": {"iterations": 1, "architecture": _UNALLOCATABLE},
+        "synth": {"height": 8, "width": 8, "num_shapes": 1},
+        "num_train": 1, "num_test": 1}))
+    out = tmp_path / "exp"
+    assert main(["experiment", "--config", str(exp), "--out", str(out)]) == 1
+    assert not (out / "results.csv").exists()
+    err = capsys.readouterr().err
+    assert err.count("invalid input") == 2 and "Traceback" not in err
+
+
+def test_experiment_identical_across_blas_threads(tmp_path):
+    # criterion 6's experiment in two child processes, one with one
+    # OpenBLAS thread and one with two; this process's environment is
+    # left as it is
+    cfg = {
+        "labels_per_image": [5],
+        "trials": 2,
+        "train": {"iterations": 20, "patch_size": 9, "architecture": TINY_JSON},
+        "alphas": [0.1],
+        "mrf_betas": [0.5, 2.0],
+        "synth": {"height": 24, "width": 24, "num_shapes": 3, "seed": 4},
+        "num_train": 2,
+        "num_test": 2,
+        "master_seed": 11,
+    }
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps(cfg))
+    src = str(Path(tvseg.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    tables = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads_{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+        subprocess.run([sys.executable, "-m", "tvseg.cli", "experiment",
+                        "--config", str(cfg_path), "--out", str(out)],
+                       env=env, check=True, capture_output=True, timeout=600)
+        tables.append((out / "results.csv").read_bytes())
+    assert tables[0] == tables[1]
 
 
 def test_unknown_command_exits_one():

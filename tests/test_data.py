@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from oracles import extract_patch, mirror_index
 from tvseg.data import (LabeledImage, SparseLabelSet, SynthConfig, UNLABELED,
@@ -233,6 +233,35 @@ def test_pgm_comment_and_16bit(tmp_path):
     assert samples.tolist() == [[256, 65535]]
 
 
+_HEADER_COMMENT = st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=12)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_pnm_roundtrip_property(tmp_path, data):
+    # PGM at any maxval (8- and 16-bit), PPM at 8 bits; sides 1..8
+    color = data.draw(st.booleans())
+    maxval = data.draw(st.integers(1, 255 if color else 65535))
+    shape = (data.draw(st.integers(1, 8)), data.draw(st.integers(1, 8))) + ((3,) if color else ())
+    seed = data.draw(st.integers(0, 2 ** 32 - 1))
+    samples = np.random.default_rng(seed).integers(0, maxval, size=shape, endpoint=True)
+    path = tmp_path / "x.pnm"
+    write_pnm(path, samples, maxval)
+    back, back_max = read_pnm(path)
+    assert back_max == maxval and np.array_equal(back, samples)
+    # the same bytes with comment lines after the magic, after the width
+    # and after the dimensions line; a comment after the maxval line would
+    # be pixel data, so none goes there
+    magic, dims, rest = path.read_bytes().split(b"\n", 2)
+    width, height = dims.split(b" ")
+    notes = [b"#" + data.draw(_HEADER_COMMENT).encode() + b"\n" for _ in range(3)]
+    path.write_bytes(magic + b"\n" + notes[0] + width + b"\n" + notes[1] + height
+                     + b"\n" + notes[2] + rest)
+    back, back_max = read_pnm(path)
+    assert back_max == maxval and np.array_equal(back, samples)
+
+
 def test_pnm_malformed(tmp_path):
     p = tmp_path / "bad.pgm"
     p.write_bytes(b"P2\n2 2\n255\n....")
@@ -297,6 +326,30 @@ def test_sparse_bad_csv(tmp_path):
     path.write_text("nope\n")
     with pytest.raises(ValueError):
         load_sparse(path)
+
+
+_SPARSE_ID = st.text(st.one_of(st.characters(codec="utf-8"), st.sampled_from("\r\n,\" ")),
+                     max_size=6)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(entries=st.lists(st.tuples(_SPARSE_ID, st.integers(0, 10 ** 6),
+                                  st.integers(0, 10 ** 6), st.integers(0, UNLABELED - 1)),
+                        max_size=5, unique_by=lambda e: e[:3]))
+def test_sparse_csv_roundtrip_property(tmp_path, entries):
+    # an id holding a carriage return is refused before the file is
+    # opened; every other set reads back equal
+    sls = SparseLabelSet(entries)
+    path = tmp_path / "s.csv"
+    path.unlink(missing_ok=True)
+    if any("\r" in image_id for image_id, _, _, _ in entries):
+        with pytest.raises(ValueError, match="carriage return"):
+            save_sparse(sls, path)
+        assert not path.exists()
+    else:
+        save_sparse(sls, path)
+        assert load_sparse(path).entries == sls.entries
 
 
 def test_dataset_roundtrip(tmp_path):

@@ -63,6 +63,25 @@ def test_he_init_weight_scale():
     assert np.all(net.params[n_w:n_w + 32] == 0.0)
 
 
+@pytest.mark.parametrize("specs, patch, channels, w_shapes", [
+    (default_specs(3), 15, 3, [(3, 3, 3, 8), (3, 3, 8, 8), (128, 32), (32, 3)]),
+    ((LayerSpec("dense", 16), LayerSpec("relu"), LayerSpec("dense", 3),
+      LayerSpec("softmax")), 9, 1, [(81, 16), (16, 3)]),
+])
+def test_init_matches_layout_oracle(specs, patch, channels, w_shapes):
+    # per trainable layer in spec order: He-normal weights drawn in their
+    # own shape, fan-in the product of all but the last axis, then zero
+    # biases, one per output unit
+    rng = np.random.default_rng(23)
+    expect = []
+    for shape in w_shapes:
+        fan_in = int(np.prod(shape[:-1]))
+        expect += [rng.normal(0.0, np.sqrt(2.0 / fan_in), shape).ravel(),
+                   np.zeros(shape[-1])]
+    net = Network.init(specs, patch, 3, seed=23, in_channels=channels)
+    assert np.array_equal(net.params, np.concatenate(expect))
+
+
 def test_backward_zero_grad_out():
     net = Network.init(TINY, 9, 2, seed=4)
     _, cache = net.batch_forward(_rand_patch(np.random.default_rng(4))[None])

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import extract_patch
-from tvseg.data import SynthConfig, merge_sparse, sample_sparse_labels, \
-    synth_dataset
+from tvseg.data import LabeledImage, SparseLabelSet, SynthConfig, merge_sparse, \
+    sample_sparse_labels, synth_dataset
 from tvseg.network import LayerSpec, Network
 from tvseg.trainer import (TrainConfig, predict_image, supervised_grad, train,
                            unsupervised_grad, _NB_COLS, _NB_ROWS, _PREDICT_CHUNK,
@@ -188,6 +188,33 @@ def test_train_input_validation():
         list(imgs.values())[0].labels, 2, seed=0, image_id="missing")])
     with pytest.raises(ValueError):
         train(imgs, bad, _toy_cfg())
+
+
+def _no_interior(h, w, value):
+    return LabeledImage(np.full((h, w, 1), value), np.zeros((h, w), dtype=np.uint8))
+
+
+def test_images_without_interior_leave_training_unchanged():
+    # a 2x9 and a 1x1 image have no interior pixel and no sparse entry:
+    # placed before and between the others they change no draw and no patch
+    imgs, sparse = _toy_data()
+    first, second = imgs
+    padded = {"flat_a": _no_interior(2, 9, 0.3), first: imgs[first],
+              "flat_b": _no_interior(1, 1, 0.7), second: imgs[second]}
+    cfg = _toy_cfg(alpha=0.1)
+    ref, ref_report = train(imgs, sparse, cfg)
+    net, report = train(padded, sparse, cfg)
+    assert np.array_equal(net.params, ref.params)
+    for name in ("sup_loss", "unsup_loss", "total_loss"):
+        assert np.array_equal(getattr(report, name), getattr(ref_report, name))
+
+
+def test_unsupervised_loss_needs_an_interior():
+    imgs = {"a": _no_interior(2, 9, 0.3), "b": _no_interior(1, 1, 0.7)}
+    sparse = SparseLabelSet([("a", 0, 0, 0), ("b", 0, 0, 1)])
+    with pytest.raises(ValueError, match="interior"):
+        train(imgs, sparse, _toy_cfg(alpha=0.1, iterations=1))
+    train(imgs, sparse, _toy_cfg(alpha=0.0, iterations=1))
 
 
 def test_train_continues_existing_network():
