@@ -17,6 +17,15 @@ internally, and returns the parameter gradient summed over the batch
 with a fixed reduction order, so results are reproducible run to run.
 This is what spatial losses on probability maps produce; supervised
 losses use the same entry point.
+
+The layers split into a *trunk*, the leading conv, relu and pool layers,
+which take feature maps of any size, and a *head*, the first dense layer
+onward.  ``forward_trunk`` runs the trunk once over a whole image: every
+pool splits each map into its four 2x2 phase fragments (Giusti et al.
+2013, *Fast image scanning with deep max-pooling CNNs*), so the trunk
+output of every patch is a window of one fragment, bitwise equal to the
+trunk output of that patch alone.  ``forward_head`` classifies a stack
+of such windows.  ``batch_forward`` runs the same layer code on patches.
 """
 
 import json
@@ -33,12 +42,15 @@ CHECKPOINT_VERSION = 1
 @dataclass(frozen=True)
 class LayerSpec:
     kind: str
-    size: int = 0  # maps for conv3x3, units for dense; ignored otherwise
+    size: int = 0  # maps for conv3x3, units for dense; 0 for a fixed layer
 
     def __post_init__(self):
         if self.kind not in LAYER_KINDS:
             raise ValueError(f"unknown layer kind {self.kind!r}")
-        if self.kind in ("conv3x3", "dense") and self.size < 1:
+        if issubclass(_LAYERS[self.kind], _Fixed):
+            if self.size != 0:
+                raise ValueError(f"{self.kind} layer takes no size, got {self.size}")
+        elif self.size < 1:
             raise ValueError(f"{self.kind} layer needs a positive size")
 
 
@@ -74,9 +86,16 @@ def specs_from_json(obj) -> tuple[LayerSpec, ...]:
 
 # ---------------------------------------------------------------------------
 # layer implementations; x is always a batch (N, ...) float64 array.  Each
-# layer is built from (in_shape, size); a trainable layer sets ``w_shape``
-# with its output units last, and Network derives its bias length,
-# parameter count and He fan-in from that shape alone.
+# layer is built from (in_shape, size), the shape it sees on one patch; a
+# trainable layer sets ``w_shape`` with its output units last, and Network
+# derives its bias length, parameter count and He fan-in from that shape
+# alone.  The spatial layers read their output size from x, so they run on
+# patches and on whole feature maps alike.
+
+
+class _Fixed:
+    """Base of the layers without parameters; their specs carry no size."""
+    w_shape = None
 
 
 class _Conv3x3:
@@ -88,8 +107,8 @@ class _Conv3x3:
         self.w_shape = (3, 3, c, maps)
 
     def forward(self, x, w, b):
-        ho, wo, maps = self.out_shape
-        y = np.broadcast_to(b, (x.shape[0], ho, wo, maps)).copy()
+        n, ho, wo = x.shape[0], x.shape[1] - 2, x.shape[2] - 2
+        y = np.broadcast_to(b, (n, ho, wo, b.size)).copy()
         for i in range(3):
             for j in range(3):
                 y += np.tensordot(x[:, i:i + ho, j:j + wo, :], w[i, j], axes=([3], [0]))
@@ -97,7 +116,7 @@ class _Conv3x3:
 
     def backward(self, dout, cache, w, gw, gb):
         x = cache
-        ho, wo, _ = self.out_shape
+        _, ho, wo, _ = dout.shape
         gb[:] = dout.sum(axis=(0, 1, 2))
         dx = np.zeros_like(x)
         for i in range(3):
@@ -108,9 +127,7 @@ class _Conv3x3:
         return dx
 
 
-class _ReLU:
-    w_shape = None
-
+class _ReLU(_Fixed):
     def __init__(self, in_shape, size):
         self.out_shape = in_shape
 
@@ -121,9 +138,7 @@ class _ReLU:
         return dout * cache
 
 
-class _MaxPool2x2:
-    w_shape = None
-
+class _MaxPool2x2(_Fixed):
     def __init__(self, in_shape, size):
         h, w, c = in_shape
         if h < 2 or w < 2:
@@ -131,10 +146,12 @@ class _MaxPool2x2:
         self.in_shape = in_shape
         self.out_shape = (h // 2, w // 2, c)
 
-    def forward(self, x, w, b):
-        n = x.shape[0]
-        h2, w2, c = self.out_shape
-        win = (x[:, :2 * h2, :2 * w2, :]
+    def forward(self, x, w, b, phase=(0, 0)):
+        """Max over the 2x2 windows with top-left corners at phase + 2 * (i, j)."""
+        n, h, wd, c = x.shape
+        pr, pc = phase
+        h2, w2 = (h - pr) // 2, (wd - pc) // 2
+        win = (x[:, pr:pr + 2 * h2, pc:pc + 2 * w2, :]
                .reshape(n, h2, 2, w2, 2, c)
                .transpose(0, 1, 3, 5, 2, 4)
                .reshape(n, h2, w2, c, 4))
@@ -142,10 +159,27 @@ class _MaxPool2x2:
         y = np.take_along_axis(win, idx[..., None], axis=4)[..., 0]
         return y, idx
 
+    def fragments(self, x):
+        """Pool every phase of a stack of R x R phase fragments.
+
+        Fragment (fr, fc) of ``x`` sits at index fr * R + fc.  Phase
+        (pr, pc) of it becomes fragment (fr + R * pr, fc + R * pc) of the
+        2R x 2R output, and every phase is cut to the (h - 1) // 2 rows and
+        (w - 1) // 2 columns that all four have.
+        """
+        f, h, wd, c = x.shape
+        r = math.isqrt(f)
+        ho, wo = (h - 1) // 2, (wd - 1) // 2
+        out = np.empty((2, r, 2, r, ho, wo, c))
+        for pr in (0, 1):
+            for pc in (0, 1):
+                y, _ = self.forward(x, None, None, (pr, pc))
+                out[pr, :, pc] = y[:, :ho, :wo].reshape(r, r, ho, wo, c)
+        return out.reshape(4 * f, ho, wo, c)
+
     def backward(self, dout, cache, w, gw, gb):
         idx = cache
-        n = dout.shape[0]
-        h2, w2, c = self.out_shape
+        n, h2, w2, c = dout.shape
         dx = np.zeros((n,) + self.in_shape)
         nn = np.arange(n)[:, None, None, None]
         ii = np.arange(h2)[None, :, None, None]
@@ -172,9 +206,7 @@ class _Dense:
         return (dout @ w.T).reshape((dout.shape[0],) + self.in_shape)
 
 
-class _Softmax:
-    w_shape = None
-
+class _Softmax(_Fixed):
     def __init__(self, in_shape, size):
         if len(in_shape) != 1:
             raise ValueError("softmax input must be a flat vector; add a dense layer first")
@@ -252,6 +284,16 @@ class Network:
                 f"network outputs {shape}, expected ({num_classes},); "
                 "the layer before softmax must emit one unit per class")
 
+        # the trunk is the leading run of layers with a spatial output; on
+        # one patch it emits a trunk_shape map, and each of its pools
+        # doubles the pixel stride between the patches one fragment serves
+        self._trunk = next(i for i, layer in enumerate(self._layers)
+                           if len(layer.out_shape) != 3)
+        self.trunk_shape = (self._layers[self._trunk - 1].out_shape if self._trunk
+                            else (patch_size, patch_size, in_channels))
+        self.trunk_stride = 2 ** sum(isinstance(layer, _MaxPool2x2)
+                                     for layer in self._layers[:self._trunk])
+
         if params is None:
             params = np.zeros(total)
         else:
@@ -298,6 +340,35 @@ class Network:
             x, cache = layer.forward(x, w, b)
             caches.append(cache)
         return x, ForwardCache(self._version, x.shape[0], caches)
+
+    def forward_trunk(self, image) -> np.ndarray:
+        """Trunk outputs of every patch of an (H, W, C) map, as phase fragments.
+
+        Returns (S * S, h, w, c) fragments, S = ``trunk_stride``: the trunk
+        output of the patch whose top-left corner is (r, c) of ``image`` is
+        the ``trunk_shape`` window at (r // S, c // S) of fragment
+        (r % S) * S + c % S, for r <= H - P and c <= W - P.  The map is
+        first padded with S - 1 zero rows and columns at the bottom and
+        right: the pools cut their phases to a common size, and the slack
+        keeps every position a patch reads.  No patch reads the outputs
+        that the zeros reach.
+        """
+        s = self.trunk_stride - 1
+        x = np.pad(image, ((0, s), (0, s), (0, 0)))[None]
+        for layer, (w, b) in zip(self._layers[:self._trunk], self._views(self.params)):
+            if isinstance(layer, _MaxPool2x2):
+                x = layer.fragments(x)
+            else:
+                x, _ = layer.forward(x, w, b)
+        return x
+
+    def forward_head(self, windows) -> np.ndarray:
+        """(N, K) class probabilities of (N,) + ``trunk_shape`` trunk outputs."""
+        x = windows
+        views = self._views(self.params)[self._trunk:]
+        for layer, (w, b) in zip(self._layers[self._trunk:], views):
+            x, _ = layer.forward(x, w, b)
+        return x
 
     def batch_backward(self, cache: ForwardCache, grad_out) -> np.ndarray:
         """Parameter gradient of <grad_out, probs> summed over the batch.

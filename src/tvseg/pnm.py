@@ -12,7 +12,20 @@ class PnmError(Exception):
     """Malformed or unsupported PNM content."""
 
 
+def _skip_comment(buf: bytes, i: int) -> int:
+    """Index of the newline that ends a comment starting at ``buf[i]``."""
+    end = buf.find(b"\n", i)
+    return len(buf) if end < 0 else end
+
+
 def _read_tokens(buf: bytes, count: int, start: int) -> tuple[list[int], int]:
+    """Parse ``count`` integer header tokens from ``buf[start:]``.
+
+    A ``#`` anywhere in the header starts a comment that runs to the end
+    of its line, also right after a token; a comment after the last token
+    ends at its newline, which is then the one whitespace byte before the
+    raster.  Returns the tokens and the offset of the raster.
+    """
     tokens = []
     i = start
     n = len(buf)
@@ -20,11 +33,10 @@ def _read_tokens(buf: bytes, count: int, start: int) -> tuple[list[int], int]:
         while i < n and buf[i:i + 1].isspace():
             i += 1
         if i < n and buf[i] == ord("#"):
-            while i < n and buf[i] != ord("\n"):
-                i += 1
+            i = _skip_comment(buf, i)
             continue
         j = i
-        while j < n and not buf[j:j + 1].isspace():
+        while j < n and not buf[j:j + 1].isspace() and buf[j] != ord("#"):
             j += 1
         if j == i:
             raise PnmError("truncated header")
@@ -33,6 +45,8 @@ def _read_tokens(buf: bytes, count: int, start: int) -> tuple[list[int], int]:
         except ValueError as exc:
             raise PnmError(f"bad header token {buf[i:j]!r}") from exc
         i = j
+    if i < n and buf[i] == ord("#"):
+        i = _skip_comment(buf, i)
     if i >= n or not buf[i:i + 1].isspace():
         raise PnmError("missing whitespace after header")
     return tokens, i + 1

@@ -30,7 +30,8 @@ _PROB_FLOOR = 1e-12  # clamp for log/reciprocal of tiny probabilities
 
 _TV = TotalVariation()
 
-_PREDICT_CHUNK = 2048  # pixels classified per forward pass in predict_image
+_PREDICT_CHUNK = 2048  # pixels per head forward pass in predict_image
+_BAND_PIXELS = 1 << 17  # padded pixels per trunk row band in predict_image
 
 # offsets of the 3x3 neighborhood of a pixel, row-major
 _NB_ROWS = np.array([-1, -1, -1, 0, 0, 0, 1, 1, 1])
@@ -102,6 +103,13 @@ def _loss_and_grad_out(probs: np.ndarray, labels: np.ndarray, kind: str):
     return -np.log(p_true), grad
 
 
+def _image_array(image) -> np.ndarray:
+    """The (H, W, C) float64 array of a LabeledImage or an (H, W) or
+    (H, W, C) array."""
+    img = image.image if isinstance(image, LabeledImage) else np.asarray(image, dtype=np.float64)
+    return img[:, :, None] if img.ndim == 2 else img
+
+
 def _windows(image, patch_size: int) -> np.ndarray:
     """Sliding-window view of ``image`` mirror-padded by P // 2.
 
@@ -109,10 +117,7 @@ def _windows(image, patch_size: int) -> np.ndarray:
     view's first two axes are the H x W pixels; its window at (r, c) is
     the patch centered on pixel (r, c).  Cut patches with ``_gather``.
     """
-    img = image.image if isinstance(image, LabeledImage) else np.asarray(image, dtype=np.float64)
-    if img.ndim == 2:
-        img = img[:, :, None]
-    padded = pad_mirror(img, patch_size // 2)
+    padded = pad_mirror(_image_array(image), patch_size // 2)
     return np.lib.stride_tricks.sliding_window_view(padded, (patch_size, patch_size),
                                                     axis=(0, 1))
 
@@ -283,19 +288,53 @@ def train(images: dict[str, LabeledImage], sparse: SparseLabelSet,
 
 
 def predict_image(net: Network, image) -> np.ndarray:
-    """Classify every pixel by sliding the patch window over the image.
+    """Classify every pixel from the mirror-padded patch around it.
 
-    Returns an (H, W, K) probability map; borders use mirror padding,
-    so prediction at (r, c) equals ``batch_forward`` on the patch
-    ``pad_mirror(image, P // 2)[r:r+P, c:c+P]``.  Patches are cut and
-    classified ``_PREDICT_CHUNK`` pixels at a time, so no copy of every
-    patch of the image is made.
+    Returns an (H, W, K) probability map; prediction at (r, c) equals
+    ``batch_forward`` on the patch ``pad_mirror(image, P // 2)[r:r+P, c:c+P]``.
+
+    The trunk (``Network.forward_trunk``) runs once over the padded
+    image, in row bands of about ``_BAND_PIXELS`` padded pixels plus a
+    P - 1 row halo, so its working set does not grow with the image
+    height.  The head (``Network.forward_head``) classifies the trunk
+    windows ``_PREDICT_CHUNK`` pixels at a time in raster order, a block
+    carrying over band boundaries.  These are the row blocks of a
+    patch-wise pass in chunks of ``_PREDICT_CHUNK``, and BLAS sums a row
+    of a product differently for some row counts, so the head's results
+    are that pass's bit for bit.  The trunk's products have other row
+    counts; that is exact as long as every conv reads at most 8 channels
+    (measured with OpenBLAS on 1 and 2 threads).
     """
-    windows = _windows(image, net.patch_size)
-    h, w = windows.shape[:2]
+    img = _image_array(image)
+    if img.shape[2] != net.in_channels:
+        raise ValueError(f"image has {img.shape[2]} channels, "
+                         f"network expects {net.in_channels}")
+    h, w = img.shape[:2]
+    p, s = net.patch_size, net.trunk_stride
+    k = net.trunk_shape[0]
+    padded = pad_mirror(img, p // 2)
+    band = max(1, _BAND_PIXELS // padded.shape[1])
     out = np.empty((h * w, net.num_classes))
-    for start in range(0, h * w, _PREDICT_CHUNK):
-        stop = min(start + _PREDICT_CHUNK, h * w)
-        flat = np.arange(start, stop)
-        out[start:stop], _ = net.batch_forward(_gather(windows, flat // w, flat % w))
+    block = np.empty((_PREDICT_CHUNK,) + net.trunk_shape)
+    filled = 0  # trunk windows in block, of the pixels just before flat
+    for r0 in range(0, h, band):
+        r1 = min(r0 + band, h)
+        fragments = net.forward_trunk(padded[r0:r1 + p - 1])
+        windows = np.lib.stride_tricks.sliding_window_view(
+            fragments, (k, k), axis=(1, 2)).transpose(0, 1, 2, 4, 5, 3)
+        flat = r0 * w
+        while flat < r1 * w:
+            take = min(_PREDICT_CHUNK - filled, r1 * w - flat)
+            rows, cols = np.divmod(np.arange(flat, flat + take) - r0 * w, w)
+            block[filled:filled + take] = windows[rows % s * s + cols % s, rows // s, cols // s]
+            filled += take
+            flat += take
+            if filled == _PREDICT_CHUNK or flat == h * w:
+                out[flat - filled:flat] = net.forward_head(block[:filled])
+                filled = 0
+    if h * w % _PREDICT_CHUNK == 1:
+        # on a one-patch chunk a trunk product can have a single row, which
+        # BLAS sums as a matrix-vector product; classify that patch as such
+        r, c = divmod(h * w - 1, w)
+        out[-1], _ = net.batch_forward(padded[None, r:r + p, c:c + p])
     return out.reshape(h, w, net.num_classes)

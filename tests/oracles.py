@@ -31,6 +31,22 @@ def extract_patch(image, center: tuple[int, int], patch_size: int) -> np.ndarray
     return img[np.ix_(rows, cols)]
 
 
+def predict_patchwise(net, image, chunk: int = 2048) -> np.ndarray:
+    """(H, W, K) map of ``net.batch_forward`` on every pixel's extracted
+    patch, ``chunk`` pixels per call in raster order."""
+    img = np.asarray(image, dtype=np.float64)
+    if img.ndim == 2:
+        img = img[:, :, None]
+    h, w = img.shape[:2]
+    out = np.empty((h * w, net.num_classes))
+    for start in range(0, h * w, chunk):
+        stop = min(start + chunk, h * w)
+        patches = np.stack([extract_patch(img, divmod(i, w), net.patch_size)
+                            for i in range(start, stop)])
+        out[start:stop], _ = net.batch_forward(patches)
+    return out.reshape(h, w, net.num_classes)
+
+
 def icm_labels(probs: np.ndarray, beta: float, max_iters: int) -> np.ndarray:
     """ICM under the Potts prior in whole-vector float64 arithmetic.
 

@@ -136,6 +136,21 @@ def test_predict_uniform_checkpoint(tmp_path):
     assert np.all(labels == 0)  # uniform ties resolve to class 0
 
 
+def test_predict_channel_mismatch_exits_one(tmp_path, capsys):
+    # a grey checkpoint on an RGB image fails before any work, naming
+    # both channel counts
+    specs = tuple(LayerSpec(k, s) for k, s in TINY_JSON)
+    ckpt = tmp_path / "grey.npz"
+    save_checkpoint(Network(specs, 9, 2), ckpt)
+    img = tmp_path / "img.ppm"
+    img.write_bytes(b"P6\n4 3\n255\n" + bytes(range(36)))
+    out = tmp_path / "out"
+    assert main(["predict", "--checkpoint", str(ckpt), "--image", str(img),
+                 "--out-prefix", str(out / "p")]) == 1
+    assert "3 channels, network expects 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value", [np.nan, 1e300])
 def test_predict_bad_checkpoint_writes_nothing(tmp_path, value):
     # NaN params are rejected on load; huge finite ones overflow to a

@@ -260,6 +260,15 @@ def test_pnm_roundtrip_property(tmp_path, data):
                      + b"\n" + notes[2] + rest)
     back, back_max = read_pnm(path)
     assert back_max == maxval and np.array_equal(back, samples)
+    # and with a comment attached to each token: a # starts a comment
+    # anywhere in the header, and the newline that ends the one after the
+    # maxval is the single whitespace byte before the raster
+    maxval_text, raster = rest.split(b"\n", 1)
+    notes = [b"#" + data.draw(_HEADER_COMMENT).encode() + b"\n" for _ in range(4)]
+    path.write_bytes(magic + notes[0] + width + notes[1] + height + notes[2]
+                     + maxval_text + notes[3] + raster)
+    back, back_max = read_pnm(path)
+    assert back_max == maxval and np.array_equal(back, samples)
 
 
 def test_pnm_malformed(tmp_path):

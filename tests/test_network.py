@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from tvseg.errors import NumericalError
-from tvseg.network import (LayerSpec, Network, default_specs, load_checkpoint,
-                           save_checkpoint, sgd_step, specs_from_json,
-                           specs_to_json)
+from tvseg.network import (LAYER_KINDS, LayerSpec, Network, default_specs,
+                           load_checkpoint, save_checkpoint, sgd_step,
+                           specs_from_json, specs_to_json)
 
 TINY = (LayerSpec("conv3x3", 2), LayerSpec("relu"), LayerSpec("maxpool2x2"),
         LayerSpec("dense", 8), LayerSpec("relu"), LayerSpec("dense", 2),
@@ -188,6 +188,20 @@ def test_architecture_validation():
         LayerSpec("conv3x3", 0)
     with pytest.raises(ValueError):
         LayerSpec("conv5x5", 1)
+
+
+@pytest.mark.parametrize("kind", LAYER_KINDS)
+def test_spec_size_follows_the_layer_table(kind):
+    # the kinds with weights need a positive size; the fixed kinds take none
+    if kind in ("conv3x3", "dense"):
+        assert LayerSpec(kind, 5).size == 5
+        for size in (0, -1):
+            with pytest.raises(ValueError, match="positive size"):
+                LayerSpec(kind, size)
+    else:
+        assert LayerSpec(kind).size == 0
+        with pytest.raises(ValueError, match="takes no size"):
+            LayerSpec(kind, 5)
 
 
 def test_wide_specs_need_large_patches():

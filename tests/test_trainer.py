@@ -1,13 +1,21 @@
 """Trainer: loss values, gradient plumbing, SGD loop contracts."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from oracles import extract_patch
+import tvseg
+from oracles import extract_patch, predict_patchwise
+from tvseg import trainer
 from tvseg.data import LabeledImage, SparseLabelSet, SynthConfig, merge_sparse, \
     sample_sparse_labels, synth_dataset
-from tvseg.network import LayerSpec, Network
+from tvseg.network import LayerSpec, Network, default_specs
 from tvseg.trainer import (TrainConfig, predict_image, supervised_grad, train,
                            unsupervised_grad, _NB_COLS, _NB_ROWS, _PREDICT_CHUNK,
                            _gather, _loss_and_grad_out, _windows)
@@ -260,6 +268,105 @@ def test_predict_crosses_chunk_boundary():
         r, c = divmod(flat, w)
         direct, _ = net.batch_forward(extract_patch(img, (r, c), 9)[None])
         assert np.abs(probs[r, c] - direct[0]).max() < 1e-12
+
+
+@st.composite
+def _architectures(draw):
+    """(specs, patch_size, num_classes): zero to two pools, each stage an
+    optional conv of 1..8 maps (so no conv reads more than 8 channels) and
+    an optional ReLU, then a dense head; P = 15 makes a pool drop a
+    trailing row."""
+    patch_size = draw(st.sampled_from([5, 7, 9, 11, 13, 15]))
+    pools = draw(st.integers(0, 2))
+    num_classes = draw(st.integers(2, 4))
+    specs, size = [], patch_size
+    for stage in range(pools + 1):
+        # the pools still to come need 2 ** (pools - stage) rows
+        if size - 2 >= 2 ** (pools - stage) and draw(st.booleans()):
+            specs.append(LayerSpec("conv3x3", draw(st.integers(1, 8))))
+            size -= 2
+            if draw(st.booleans()):
+                specs.append(LayerSpec("relu"))
+        if stage < pools:
+            specs.append(LayerSpec("maxpool2x2"))
+            size //= 2
+    if draw(st.booleans()):
+        specs += [LayerSpec("dense", draw(st.integers(1, 8))), LayerSpec("relu")]
+    specs += [LayerSpec("dense", num_classes), LayerSpec("softmax")]
+    return tuple(specs), patch_size, num_classes
+
+
+# a 1x1 image under a conv with a 1x1 output: one patch, one product row
+_ONE_ROW = ((LayerSpec("conv3x3", 8), LayerSpec("relu"), LayerSpec("maxpool2x2"),
+             LayerSpec("conv3x3", 8), LayerSpec("dense", 2), LayerSpec("softmax")), 9, 2)
+
+
+@settings(max_examples=120, deadline=None)
+@given(arch=_architectures(), h=st.integers(1, 40), w=st.integers(1, 40),
+       channels=st.sampled_from([1, 3]), seed=st.integers(0, 2 ** 16))
+@example(arch=_ONE_ROW, h=1, w=1, channels=3, seed=0)
+@example(arch=(default_specs(2), 15, 2), h=40, w=39, channels=1, seed=1)
+def test_predict_matches_patchwise_oracle(arch, h, w, channels, seed):
+    specs, patch_size, num_classes = arch
+    rng = np.random.default_rng(seed)
+    net = Network.init(specs, patch_size, num_classes, seed=seed, in_channels=channels)
+    img = rng.uniform(size=(h, w, channels))
+    assert np.array_equal(predict_image(net, img), predict_patchwise(net, img))
+
+
+@pytest.mark.parametrize("band_pixels", [1, trainer._BAND_PIXELS])
+@pytest.mark.parametrize("arch, shape", [
+    (_ONE_ROW, (3, 683, 3)),  # 2049 pixels: the last chunk holds one
+    ((TINY, 9, 2), (45, 46, 1)),
+    ((default_specs(3), 15, 3), (47, 50, 3)),
+])
+def test_predict_bands_and_chunks_match_oracle(monkeypatch, band_pixels, arch, shape):
+    # band_pixels 1 cuts the trunk into bands of one row, so head chunks
+    # straddle many band boundaries
+    monkeypatch.setattr(trainer, "_BAND_PIXELS", band_pixels)
+    specs, patch_size, num_classes = arch
+    net = Network.init(specs, patch_size, num_classes, seed=4, in_channels=shape[2])
+    img = np.random.default_rng(6).uniform(size=shape)
+    assert np.array_equal(predict_image(net, img), predict_patchwise(net, img))
+
+
+def test_predict_rejects_channel_mismatch():
+    net = Network.init(TINY, 9, 2, seed=1)
+    with pytest.raises(ValueError, match="3 channels, network expects 1"):
+        predict_image(net, np.zeros((4, 5, 3)))
+
+
+_LARGE_PREDICT = """
+import json, resource, sys
+import numpy as np
+from tvseg.network import Network, default_specs
+from tvseg.trainer import predict_image
+img = np.random.default_rng(0).uniform(size=(2048, 2048))
+probs = predict_image(Network.init(default_specs(2), 15, 2, seed=1), img)
+rows, cols = json.loads(sys.argv[1])
+print(json.dumps({"maxrss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+                  "probs": probs[rows, cols].tolist()}))
+"""
+
+
+def test_predict_large_image_memory_bound():
+    # a 2048x2048 grey predict in a fresh process peaks under 400 MB
+    # (a copy of every patch would need 7.5 GB), and 16 random pixels
+    # match the classifier on their extracted patches
+    rng = np.random.default_rng(2)
+    rows, cols = rng.integers(0, 2048, size=(2, 16)).tolist()
+    src = str(Path(tvseg.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=path)
+    run = subprocess.run([sys.executable, "-c", _LARGE_PREDICT, json.dumps([rows, cols])],
+                         env=env, check=True, capture_output=True, text=True, timeout=600)
+    res = json.loads(run.stdout)
+    assert res["maxrss_kb"] < 400 * 1024
+    img = np.random.default_rng(0).uniform(size=(2048, 2048))
+    net = Network.init(default_specs(2), 15, 2, seed=1)
+    patches = np.stack([extract_patch(img, (r, c), 15) for r, c in zip(rows, cols)])
+    direct, _ = net.batch_forward(patches)
+    assert np.abs(np.array(res["probs"]) - direct).max() < 1e-12
 
 
 # -- patch gather -------------------------------------------------------------
