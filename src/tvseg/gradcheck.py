@@ -17,14 +17,17 @@ import numpy as np
 
 from .network import LayerSpec, Network
 from .rng import make_rng
-from .trainer import (_NB_COLS, _NB_ROWS, _gather, _windows, supervised_grad,
-                      unsupervised_grad)
+from .trainer import _gather, _windows, supervised_grad, unsupervised_grad
 from .tv_loss import tv_grad_image, tv_theta, tv_theta_coeffs, tv_value_image
 
 # row-major forms of the two 3x3 derivative kernels, written out so the
 # oracles here do not depend on the tv_loss module's constants
 _XBAR = np.array([-1.0, -2.0, -1.0, 0.0, 0.0, 0.0, 1.0, 2.0, 1.0])
 _YBAR = np.array([-1.0, 0.0, 1.0, -2.0, 0.0, 2.0, -1.0, 0.0, 1.0])
+
+# offsets of the 3x3 neighborhood of a pixel, row-major
+_NB_ROWS = np.array([-1, -1, -1, 0, 0, 0, 1, 1, 1])
+_NB_COLS = np.array([-1, 0, 1, -1, 0, 1, -1, 0, 1])
 
 _KINK_MARGIN = 1e-3
 

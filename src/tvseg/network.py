@@ -15,8 +15,8 @@ the layer feeding it must output exactly K units.
 the softmax *output probabilities*, applies the softmax Jacobian
 internally, and returns the parameter gradient summed over the batch
 with a fixed reduction order, so results are reproducible run to run.
-This is what spatial losses on probability maps produce; supervised
-losses use the same entry point.
+The input gradient of the first layer is never computed: nothing reads
+it.
 
 The layers split into a *trunk*, the leading conv, relu and pool layers,
 which take feature maps of any size, and a *head*, the first dense layer
@@ -25,7 +25,16 @@ pool splits each map into its four 2x2 phase fragments (Giusti et al.
 2013, *Fast image scanning with deep max-pooling CNNs*), so the trunk
 output of every patch is a window of one fragment, bitwise equal to the
 trunk output of that patch alone.  ``forward_head`` classifies a stack
-of such windows.  ``batch_forward`` runs the same layer code on patches.
+of such windows.  Both keep no layer caches.  ``batch_forward`` runs the
+same layer code on patches.
+
+``forward_neighbourhoods`` classifies the nine patches of a 3x3 pixel
+neighbourhood from one (P + 2)-square crop: the trunk runs once per crop
+on fragments with its caches kept, and the head on the nine windows.
+``backward_neighbourhoods`` goes back the same way (Li et al. 2014): the
+head's input gradient is scatter-added into the fragments, and each pool
+sums the gradients of its four phases.  The result is the patch-wise
+gradient up to the order of summation, not bitwise.
 """
 
 import json
@@ -114,15 +123,21 @@ class _Conv3x3:
                 y += np.tensordot(x[:, i:i + ho, j:j + wo, :], w[i, j], axes=([3], [0]))
         return y, x
 
-    def backward(self, dout, cache, w, gw, gb):
+    def param_grads(self, dout, cache, gw, gb):
         x = cache
         _, ho, wo, _ = dout.shape
         gb[:] = dout.sum(axis=(0, 1, 2))
-        dx = np.zeros_like(x)
         for i in range(3):
             for j in range(3):
-                xs = x[:, i:i + ho, j:j + wo, :]
-                gw[i, j] = np.tensordot(xs, dout, axes=([0, 1, 2], [0, 1, 2]))
+                gw[i, j] = np.tensordot(x[:, i:i + ho, j:j + wo, :], dout,
+                                        axes=([0, 1, 2], [0, 1, 2]))
+
+    def backward(self, dout, cache, w, gw, gb):
+        self.param_grads(dout, cache, gw, gb)
+        _, ho, wo, _ = dout.shape
+        dx = np.zeros_like(cache)
+        for i in range(3):
+            for j in range(3):
                 dx[:, i:i + ho, j:j + wo, :] += np.tensordot(dout, w[i, j], axes=([3], [1]))
         return dx
 
@@ -138,6 +153,11 @@ class _ReLU(_Fixed):
         return dout * cache
 
 
+# the 2x2 offsets in row-major order: the four pool phases, and the
+# window positions that a pool's argmax index k = 2 * row + col names
+_PHASES = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
 class _MaxPool2x2(_Fixed):
     def __init__(self, in_shape, size):
         h, w, c = in_shape
@@ -146,12 +166,11 @@ class _MaxPool2x2(_Fixed):
         self.in_shape = in_shape
         self.out_shape = (h // 2, w // 2, c)
 
-    def forward(self, x, w, b, phase=(0, 0)):
-        """Max over the 2x2 windows with top-left corners at phase + 2 * (i, j)."""
+    def forward(self, x, w, b):
+        """Max over the 2x2 windows with top-left corners at 2 * (i, j)."""
         n, h, wd, c = x.shape
-        pr, pc = phase
-        h2, w2 = (h - pr) // 2, (wd - pc) // 2
-        win = (x[:, pr:pr + 2 * h2, pc:pc + 2 * w2, :]
+        h2, w2 = h // 2, wd // 2
+        win = (x[:, :2 * h2, :2 * w2, :]
                .reshape(n, h2, 2, w2, 2, c)
                .transpose(0, 1, 3, 5, 2, 4)
                .reshape(n, h2, w2, c, 4))
@@ -159,34 +178,74 @@ class _MaxPool2x2(_Fixed):
         y = np.take_along_axis(win, idx[..., None], axis=4)[..., 0]
         return y, idx
 
-    def fragments(self, x):
-        """Pool every phase of a stack of R x R phase fragments.
+    def fragments(self, x, images, keep_index):
+        """Pool every phase of the R x R phase fragments of ``images`` maps.
 
-        Fragment (fr, fc) of ``x`` sits at index fr * R + fc.  Phase
-        (pr, pc) of it becomes fragment (fr + R * pr, fc + R * pc) of the
-        2R x 2R output, and every phase is cut to the (h - 1) // 2 rows and
-        (w - 1) // 2 columns that all four have.
+        ``x`` holds each map's fragments in a run of R * R, fragment
+        (fr, fc) at fr * R + fc of its run.  Phase (pr, pc) of it becomes
+        fragment (fr + R * pr, fc + R * pc) of the map's 2R x 2R output,
+        and every phase is cut to the (h - 1) // 2 rows and (w - 1) // 2
+        columns that all four have.  With ``keep_index`` the cache holds
+        each phase's argmax for ``fragments_backward``; without it the
+        maxima are taken directly.
         """
-        f, h, wd, c = x.shape
-        r = math.isqrt(f)
+        n, h, wd, c = x.shape
+        r = math.isqrt(n // images)
         ho, wo = (h - 1) // 2, (wd - 1) // 2
-        out = np.empty((2, r, 2, r, ho, wo, c))
-        for pr in (0, 1):
-            for pc in (0, 1):
-                y, _ = self.forward(x, None, None, (pr, pc))
-                out[pr, :, pc] = y[:, :ho, :wo].reshape(r, r, ho, wo, c)
-        return out.reshape(4 * f, ho, wo, c)
+        out = np.empty((images, 2, r, 2, r, ho, wo, c))
+        idx = []
+        for pr, pc in _PHASES:
+            xs = x[:, pr:pr + 2 * ho, pc:pc + 2 * wo]
+            if keep_index:
+                y, i = self.forward(xs, None, None)
+                idx.append(i)
+            else:
+                y = _max2x2(xs)
+            out[:, pr, :, pc] = y.reshape(images, r, r, ho, wo, c)
+        return out.reshape(4 * n, ho, wo, c), (x.shape, images, idx)
 
     def backward(self, dout, cache, w, gw, gb):
-        idx = cache
-        n, h2, w2, c = dout.shape
-        dx = np.zeros((n,) + self.in_shape)
-        nn = np.arange(n)[:, None, None, None]
-        ii = np.arange(h2)[None, :, None, None]
-        jj = np.arange(w2)[None, None, :, None]
-        cc = np.arange(c)[None, None, None, :]
-        dx[nn, 2 * ii + idx // 2, 2 * jj + idx % 2, cc] = dout
+        _, h2, w2, _ = dout.shape
+        dx = np.zeros((dout.shape[0],) + self.in_shape)
+        dx[:, :2 * h2, :2 * w2] = _unpool(dout, cache)
         return dx
+
+    def fragments_backward(self, dout, cache):
+        """Input gradient of ``fragments``: the four phases' unpooled
+        gradients summed over the positions they share."""
+        shape, images, idx = cache
+        n, _, _, c = shape
+        r = math.isqrt(n // images)
+        _, ho, wo, _ = dout.shape
+        d = dout.reshape(images, 2, r, 2, r, ho, wo, c)
+        dx = np.zeros(shape)
+        for (pr, pc), i in zip(_PHASES, idx):
+            dx[:, pr:pr + 2 * ho, pc:pc + 2 * wo] += _unpool(
+                d[:, pr, :, pc].reshape(n, ho, wo, c), i)
+        return dx
+
+
+def _max2x2(x):
+    """Max of each 2x2 window of an (N, 2h, 2w, C) map.
+
+    Of equal values (+0 and -0) np.maximum returns the second argument,
+    so the running max goes second and the first maximum in row-major
+    order wins, as in ``_MaxPool2x2.forward``'s argmax.
+    """
+    m, *rest = (x[:, a::2, b::2] for a, b in _PHASES)
+    for v in rest:
+        m = np.maximum(v, m)
+    return m
+
+
+def _unpool(dout, idx):
+    """(N, 2h, 2w, C) map holding each (N, h, w, C) ``dout`` value at the
+    position its 2x2 window's argmax ``idx`` picked, zero elsewhere."""
+    n, h2, w2, c = dout.shape
+    dx = np.empty((n, 2 * h2, 2 * w2, c))
+    for k, (a, b) in enumerate(_PHASES):
+        dx[:, a::2, b::2] = np.where(idx == k, dout, 0.0)
+    return dx
 
 
 class _Dense:
@@ -199,10 +258,12 @@ class _Dense:
         xf = x.reshape(x.shape[0], -1)
         return xf @ w + b, xf
 
-    def backward(self, dout, cache, w, gw, gb):
-        xf = cache
-        gw[:] = xf.T @ dout
+    def param_grads(self, dout, cache, gw, gb):
+        gw[:] = cache.T @ dout
         gb[:] = dout.sum(axis=0)
+
+    def backward(self, dout, cache, w, gw, gb):
+        self.param_grads(dout, cache, gw, gb)
         return (dout @ w.T).reshape((dout.shape[0],) + self.in_shape)
 
 
@@ -235,6 +296,7 @@ class ForwardCache:
     version: int
     batch: int
     layer_caches: list
+    fragments: tuple = ()  # (B, S * S, h, w, c) trunk output of forward_neighbourhoods
 
 
 class Network:
@@ -326,20 +388,84 @@ class Network:
 
     # -- forward / backward -------------------------------------------------
 
-    def _check_batch(self, x) -> np.ndarray:
+    def _check_batch(self, x, size) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
-        expect = (self.patch_size, self.patch_size, self.in_channels)
+        expect = (size, size, self.in_channels)
         if x.ndim != 4 or x.shape[1:] != expect:
-            raise ValueError(f"expected patches of shape (N,) + {expect}, got {x.shape}")
+            raise ValueError(f"expected maps of shape (N,) + {expect}, got {x.shape}")
         return x
 
+    def _forward(self, x, layers: range, caches=None, images=0):
+        """Run the ``layers`` (a range of indices) on the batch ``x``.
+
+        With ``images`` > 0, ``x`` holds the phase fragments of that many
+        maps and every pool splits them further (``_MaxPool2x2.fragments``).
+        Each layer's cache is appended to ``caches`` unless it is None.
+        """
+        views = self._views(self.params)
+        for i in layers:
+            layer, (w, b) = self._layers[i], views[i]
+            if images and isinstance(layer, _MaxPool2x2):
+                x, cache = layer.fragments(x, images, caches is not None)
+            else:
+                x, cache = layer.forward(x, w, b)
+            if caches is not None:
+                caches.append(cache)
+        return x
+
+    def _pad_slack(self, maps):
+        """(N, H, W, C) maps with S - 1 zero rows and columns appended: the
+        pools cut their phases to a common size, and the slack keeps every
+        position a patch reads.  No patch reads the outputs the zeros reach."""
+        s = self.trunk_stride - 1
+        return np.pad(maps, ((0, 0), (0, s), (0, s), (0, 0)))
+
+    def _backward(self, layers: range, caches, carry, grads, fragments=False):
+        """Backpropagate ``carry`` through the ``layers`` (a range of
+        indices) in reverse, writing their parameter gradients into
+        ``grads``, and return the gradient at the input of the first.
+
+        ``fragments`` says the forward ran on phase fragments.  Nothing
+        reads the input gradient of layer 0, so there only the parameter
+        gradients are computed, and None is returned.
+        """
+        p_views, g_views = self._views(self.params), self._views(grads)
+        for i in reversed(layers):
+            layer, lc, (w, _), (gw, gb) = self._layers[i], caches[i], p_views[i], g_views[i]
+            if i == 0:
+                if layer.w_shape is not None:
+                    layer.param_grads(carry, lc, gw, gb)
+                return None
+            if fragments and isinstance(layer, _MaxPool2x2):
+                carry = layer.fragments_backward(carry, lc)
+            else:
+                carry = layer.backward(carry, lc, w, gw, gb)
+        return carry
+
+    def _check_grad_out(self, cache: ForwardCache, grad_out) -> np.ndarray:
+        if cache.version != self._version:
+            raise ValueError("stale forward cache: parameters changed since forward")
+        g = np.asarray(grad_out, dtype=np.float64)
+        if g.shape != (cache.batch, self.num_classes):
+            raise ValueError(f"grad_out shape {g.shape} does not match "
+                             f"({cache.batch}, {self.num_classes})")
+        return g
+
     def batch_forward(self, patches) -> tuple[np.ndarray, ForwardCache]:
-        x = self._check_batch(patches)
         caches = []
-        for layer, (w, b) in zip(self._layers, self._views(self.params)):
-            x, cache = layer.forward(x, w, b)
-            caches.append(cache)
+        x = self._forward(self._check_batch(patches, self.patch_size),
+                          range(len(self._layers)), caches)
         return x, ForwardCache(self._version, x.shape[0], caches)
+
+    def batch_backward(self, cache: ForwardCache, grad_out) -> np.ndarray:
+        """Parameter gradient of <grad_out, probs> summed over the batch.
+
+        ``grad_out`` has shape (N, K) and holds d(loss)/d(probabilities).
+        """
+        grads = np.zeros_like(self.params)
+        self._backward(range(len(self._layers)), cache.layer_caches,
+                       self._check_grad_out(cache, grad_out), grads)
+        return grads
 
     def forward_trunk(self, image) -> np.ndarray:
         """Trunk outputs of every patch of an (H, W, C) map, as phase fragments.
@@ -347,48 +473,64 @@ class Network:
         Returns (S * S, h, w, c) fragments, S = ``trunk_stride``: the trunk
         output of the patch whose top-left corner is (r, c) of ``image`` is
         the ``trunk_shape`` window at (r // S, c // S) of fragment
-        (r % S) * S + c % S, for r <= H - P and c <= W - P.  The map is
-        first padded with S - 1 zero rows and columns at the bottom and
-        right: the pools cut their phases to a common size, and the slack
-        keeps every position a patch reads.  No patch reads the outputs
-        that the zeros reach.
+        (r % S) * S + c % S, for r <= H - P and c <= W - P.  Keeps no
+        layer caches, so its working set is a few feature maps.
         """
-        s = self.trunk_stride - 1
-        x = np.pad(image, ((0, s), (0, s), (0, 0)))[None]
-        for layer, (w, b) in zip(self._layers[:self._trunk], self._views(self.params)):
-            if isinstance(layer, _MaxPool2x2):
-                x = layer.fragments(x)
-            else:
-                x, _ = layer.forward(x, w, b)
-        return x
+        return self._forward(self._pad_slack(image[None]), range(self._trunk), images=1)
 
     def forward_head(self, windows) -> np.ndarray:
         """(N, K) class probabilities of (N,) + ``trunk_shape`` trunk outputs."""
-        x = windows
-        views = self._views(self.params)[self._trunk:]
-        for layer, (w, b) in zip(self._layers[self._trunk:], views):
-            x, _ = layer.forward(x, w, b)
-        return x
+        return self._forward(windows, range(self._trunk, len(self._layers)))
 
-    def batch_backward(self, cache: ForwardCache, grad_out) -> np.ndarray:
-        """Parameter gradient of <grad_out, probs> summed over the batch.
+    def _neighbour_windows(self):
+        """(fragment, rows, cols) of the trunk output windows of the nine
+        patches of a (P + 2)-square crop, row-major (see ``forward_trunk``)."""
+        s, k = self.trunk_stride, self.trunk_shape[0]
+        for t in range(9):
+            a, b = divmod(t, 3)
+            yield a % s * s + b % s, slice(a // s, a // s + k), slice(b // s, b // s + k)
 
-        ``grad_out`` has shape (N, K) and holds d(loss)/d(probabilities).
+    def forward_neighbourhoods(self, crops) -> tuple[np.ndarray, ForwardCache]:
+        """Class probabilities of the 3x3 neighbourhood of patches in each
+        of B (P + 2)-square crops, for ``backward_neighbourhoods``.
+
+        Returns (9B, K), the nine patches of each crop in row-major order.
+        The trunk runs once per crop on phase fragments, keeping its layer
+        caches; the head runs on the nine windows gathered from them.
         """
-        if cache.version != self._version:
-            raise ValueError("stale forward cache: parameters changed since forward")
-        g = np.asarray(grad_out, dtype=np.float64)
-        if g.shape != (cache.batch, self.num_classes):
-            raise ValueError(f"grad_out shape {g.shape} does not match "
-                             f"({cache.batch}, {self.num_classes})")
+        x = self._check_batch(crops, self.patch_size + 2)
+        caches = []
+        fragments = self._forward(self._pad_slack(x), range(self._trunk), caches, len(x))
+        fragments = fragments.reshape((len(x), -1) + fragments.shape[1:])
+        windows = np.empty((len(x), 9) + self.trunk_shape)
+        for t, (f, rows, cols) in enumerate(self._neighbour_windows()):
+            windows[:, t] = fragments[:, f, rows, cols]
+        probs = self._forward(windows.reshape((-1,) + self.trunk_shape),
+                              range(self._trunk, len(self._layers)), caches)
+        return probs, ForwardCache(self._version, probs.shape[0], caches, fragments.shape)
+
+    def backward_neighbourhoods(self, cache: ForwardCache, grad_out) -> np.ndarray:
+        """Parameter gradient of <grad_out, probs> for the output of
+        ``forward_neighbourhoods``.
+
+        The head's input gradient is scatter-added from the nine windows
+        into the fragments it was gathered from, then backpropagated
+        through the trunk, whose pools sum the gradients of their four
+        phases (Li et al. 2014, *Highly efficient forward and backward
+        propagation of convolutional neural networks for pixelwise
+        classification*).
+        """
+        g = self._check_grad_out(cache, grad_out)
         grads = np.zeros_like(self.params)
-        p_views = self._views(self.params)
-        g_views = self._views(grads)
-        carry = g
-        for layer, lc, (w, _), (gw, gb) in zip(
-                reversed(self._layers), reversed(cache.layer_caches),
-                reversed(p_views), reversed(g_views)):
-            carry = layer.backward(carry, lc, w, gw, gb)
+        caches = cache.layer_caches
+        windows = self._backward(range(self._trunk, len(self._layers)), caches, g, grads)
+        if windows is not None:
+            windows = windows.reshape((-1, 9) + self.trunk_shape)
+            fragments = np.zeros(cache.fragments)
+            for t, (f, rows, cols) in enumerate(self._neighbour_windows()):
+                fragments[:, f, rows, cols] += windows[:, t]
+            self._backward(range(self._trunk), caches,
+                           fragments.reshape((-1,) + cache.fragments[2:]), grads, True)
         return grads
 
 

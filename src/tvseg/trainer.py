@@ -4,10 +4,13 @@ spatial smoothness loss on sampled unsupervised neighborhoods.
 Each iteration draws a supervised minibatch from the sparse label set
 and, when the smoothness weight alpha is positive, a batch of interior
 pixels from all images; every unsupervised pixel contributes the
-penalty of its 3x3 output neighborhood, backpropagated through the nine
-patch classifications that produce it.  Supervised and unsupervised
-gradients are averaged within their own batches before combining, so
-alpha means the same thing at any batch size.
+penalty of its 3x3 output neighborhood.  The nine classifications of a
+neighborhood come from one (P + 2)-square crop around the pixel, whose
+trunk runs once on pool-phase fragments
+(``Network.forward_neighbourhoods``); the penalty's coefficients are
+backpropagated through the head and those fragments.  Supervised and
+unsupervised gradients are averaged within their own batches before
+combining, so alpha means the same thing at any batch size.
 
 Supervised and unsupervised draws use independent RNG streams derived
 from the config seed, so an alpha=0 run follows the exact parameter
@@ -22,20 +25,14 @@ from .data import LabeledImage, SparseLabelSet, pad_mirror
 from .errors import NumericalError
 from .network import LayerSpec, Network, default_specs, sgd_step
 from .rng import ROLE_INIT, ROLE_SUP_DRAW, ROLE_UNSUP_DRAW, make_rng, mix_seed
-from .tv_loss import TotalVariation
+from .tv_loss import _sobel, _subgradient
 
 SUPERVISED_LOSSES = ("mse", "cross_entropy")
 
 _PROB_FLOOR = 1e-12  # clamp for log/reciprocal of tiny probabilities
 
-_TV = TotalVariation()
-
 _PREDICT_CHUNK = 2048  # pixels per head forward pass in predict_image
 _BAND_PIXELS = 1 << 17  # padded pixels per trunk row band in predict_image
-
-# offsets of the 3x3 neighborhood of a pixel, row-major
-_NB_ROWS = np.array([-1, -1, -1, 0, 0, 0, 1, 1, 1])
-_NB_COLS = np.array([-1, 0, 1, -1, 0, 1, -1, 0, 1])
 
 
 @dataclass(frozen=True)
@@ -110,28 +107,29 @@ def _image_array(image) -> np.ndarray:
     return img[:, :, None] if img.ndim == 2 else img
 
 
-def _windows(image, patch_size: int) -> np.ndarray:
-    """Sliding-window view of ``image`` mirror-padded by P // 2.
+def _windows(image, size: int) -> np.ndarray:
+    """Sliding-window view of ``image`` mirror-padded by ``size // 2``.
 
-    ``image`` is a LabeledImage or an (H, W) or (H, W, C) array.  The
-    view's first two axes are the H x W pixels; its window at (r, c) is
-    the patch centered on pixel (r, c).  Cut patches with ``_gather``.
+    ``image`` is a LabeledImage or an (H, W) or (H, W, C) array, and
+    ``size`` is odd.  The view's first two axes are the H x W pixels; its
+    window at (r, c) is the ``size``-square window centered on pixel
+    (r, c): a patch for ``size`` P, the crop of the neighborhood of (r, c)
+    for P + 2.  Cut them with ``_gather``.
     """
-    padded = pad_mirror(_image_array(image), patch_size // 2)
-    return np.lib.stride_tricks.sliding_window_view(padded, (patch_size, patch_size),
-                                                    axis=(0, 1))
+    padded = pad_mirror(_image_array(image), size // 2)
+    return np.lib.stride_tricks.sliding_window_view(padded, (size, size), axis=(0, 1))
 
 
 def _gather(windows: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """(N, P, P, C) patches centered at the pixels (rows[i], cols[i])."""
+    """(N, size, size, C) windows centered at the pixels (rows[i], cols[i])."""
     return windows.transpose(0, 1, 3, 4, 2)[rows, cols]
 
 
 def _cut(windows: list, which: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """(N, P, P, C) patches centered at (rows[i], cols[i]) of image
+    """(N, size, size, C) windows centered at (rows[i], cols[i]) of image
     ``which[i]``, with one ``_gather`` per image present."""
-    _, _, c, p, _ = windows[0].shape
-    out = np.empty((len(which), p, p, c))
+    _, _, c, size, _ = windows[0].shape
+    out = np.empty((len(which), size, size, c))
     for k in dict.fromkeys(which.tolist()):
         at = which == k
         out[at] = _gather(windows[k], rows[at], cols[at])
@@ -146,24 +144,21 @@ def _supervised_step(net: Network, patches: np.ndarray, labels: np.ndarray,
     return float(losses.mean()), net.batch_backward(cache, grad_out / len(labels))
 
 
-def _tv_step(net: Network, patches: np.ndarray,
+def _tv_step(net: Network, crops: np.ndarray,
              scale: float) -> tuple[float, np.ndarray]:
     """Summed TV penalty of B output neighborhoods and the parameter
     gradient of ``scale`` times it.
 
-    ``patches`` holds 9·B patches, the nine of each neighborhood in
-    row-major order.  The penalty applies per window and class channel;
-    its coefficients are backpropagated through the 9·B forward passes.
+    ``crops`` holds B (P + 2)-square crops, each centered on the center
+    of its neighborhood.  The penalty applies per window and class
+    channel; one batched Sobel call gives every value and coefficient,
+    with sign(0) = 0.
     """
-    probs, cache = net.batch_forward(patches)
-    nb = probs.reshape(-1, 9, net.num_classes)
-    value = 0.0
-    coeffs = np.empty_like(nb)
-    for bi in range(nb.shape[0]):
-        for ch in range(net.num_classes):
-            value += _TV.theta(nb[bi, :, ch])
-            coeffs[bi, :, ch] = _TV.theta_coeffs(nb[bi, :, ch])
-    return value, net.batch_backward(cache, coeffs.reshape(probs.shape) * scale)
+    probs, cache = net.forward_neighbourhoods(crops)
+    gx, gy = _sobel(probs.reshape(-1, 9, net.num_classes).transpose(0, 2, 1))
+    coeffs = _subgradient(gx, gy).transpose(0, 2, 1).reshape(probs.shape)
+    value = float((np.abs(gx) + np.abs(gy)).sum())
+    return value, net.backward_neighbourhoods(cache, coeffs * scale)
 
 
 def supervised_grad(net: Network, patch, label: int,
@@ -181,18 +176,17 @@ def unsupervised_grad(net: Network, image, center: tuple[int, int]) -> tuple[flo
     """TV penalty of the output neighborhood at ``center`` and its
     parameter gradient.
 
-    Runs the classifier on the nine patches centered on the 3x3
-    neighborhood of ``center`` (row-major), applies the per-window
-    penalty to each class channel, and backpropagates the per-neighbor
-    coefficients through the nine forward passes.
+    Classifies the nine patches centered on the 3x3 neighborhood of
+    ``center`` from the mirror-padded (P + 2)-square crop around it,
+    applies the per-window penalty to each class channel, and
+    backpropagates the per-neighbor coefficients (see ``_tv_step``).
     """
-    windows = _windows(image, net.patch_size)
+    windows = _windows(image, net.patch_size + 2)
     h, w = windows.shape[:2]
     r, c = center
     if not (1 <= r < h - 1 and 1 <= c < w - 1):
         raise ValueError(f"center {center} must be at least 1 pixel inside a {h}x{w} image")
-    value, grads = _tv_step(net, _gather(windows, r + _NB_ROWS, c + _NB_COLS), 1.0)
-    return float(value), grads
+    return _tv_step(net, _gather(windows, np.array([r]), np.array([c])), 1.0)
 
 
 def _check_sparse(images: dict[str, LabeledImage], sparse: SparseLabelSet,
@@ -229,13 +223,11 @@ def train(images: dict[str, LabeledImage], sparse: SparseLabelSet,
                            seed=mix_seed(cfg.seed, ROLE_INIT),
                            in_channels=channels.pop())
 
-    windows = [_windows(li, net.patch_size) for li in images.values()]
-
     # supervised samples are a fixed small set: cut their patches once
     index = {name: k for k, name in enumerate(images)}
     names, rows, cols, classes = zip(*sparse.entries)
-    sup_patches = _cut(windows, np.array([index[n] for n in names]),
-                       np.array(rows), np.array(cols))
+    sup_patches = _cut([_windows(li, net.patch_size) for li in images.values()],
+                       np.array([index[n] for n in names]), np.array(rows), np.array(cols))
     sup_labels = np.array(classes, dtype=np.int64)
 
     # flat index space over the interior pixels of every image, for unsup
@@ -249,6 +241,7 @@ def train(images: dict[str, LabeledImage], sparse: SparseLabelSet,
         if bounds[-1] == 0:
             raise ValueError("no interior pixels available for the unsupervised loss")
         starts = bounds - counts
+        crop_windows = [_windows(li, net.patch_size + 2) for li in images.values()]
 
     rng_sup = make_rng(cfg.seed, ROLE_SUP_DRAW)
     rng_unsup = make_rng(cfg.seed, ROLE_UNSUP_DRAW)
@@ -267,10 +260,9 @@ def train(images: dict[str, LabeledImage], sparse: SparseLabelSet,
             flat = rng_unsup.integers(0, bounds[-1], size=cfg.unsup_batch)
             which = np.searchsorted(bounds, flat, side="right")
             rows, cols = np.divmod(flat - starts[which], widths[which])
-            # the neighborhood of interior pixel (1 + row, 1 + col)
-            batch = _cut(windows, np.repeat(which, 9), (rows[:, None] + 1 + _NB_ROWS).ravel(),
-                         (cols[:, None] + 1 + _NB_COLS).ravel())
-            unsup_value, unsup_grads = _tv_step(net, batch, cfg.alpha / cfg.unsup_batch)
+            # the crop around interior pixel (1 + row, 1 + col)
+            crops = _cut(crop_windows, which, rows + 1, cols + 1)
+            unsup_value, unsup_grads = _tv_step(net, crops, cfg.alpha / cfg.unsup_batch)
             unsup_value /= cfg.unsup_batch
             grads += unsup_grads
 

@@ -38,8 +38,19 @@ def _sobel(windows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return v @ SOBEL_X_VEC, v @ SOBEL_Y_VEC
 
 
+def _subgradient(gx, gy) -> np.ndarray:
+    """Per-neighbor coefficients (..., 9) of |Gx| + |Gy|, sign(0) = 0."""
+    return np.sign(gx)[..., None] * SOBEL_X_VEC + np.sign(gy)[..., None] * SOBEL_Y_VEC
+
+
 class TotalVariation:
-    """|Gx| + |Gy| with Sobel gradients; subgradient uses sign(0) = 0."""
+    """|Gx| + |Gy| with Sobel gradients; subgradient uses sign(0) = 0.
+
+    Training does not call it: it applies ``_sobel`` and ``_subgradient``
+    to all of a batch's windows and channels at once.  The class stays as
+    the one-window form with input checks behind the public ``tv_theta``
+    and ``tv_theta_coeffs``.
+    """
 
     def theta(self, values: np.ndarray) -> float:
         """Penalty of one window; ``values`` has shape (9,)."""
@@ -48,8 +59,7 @@ class TotalVariation:
 
     def theta_coeffs(self, values: np.ndarray) -> np.ndarray:
         """d(theta)/d(values), shape (9,); a subgradient at kinks."""
-        gx, gy = _sobel(_window_vector(values))
-        return np.sign(gx) * SOBEL_X_VEC + np.sign(gy) * SOBEL_Y_VEC
+        return _subgradient(*_sobel(_window_vector(values)))
 
 
 def _window_vector(values) -> np.ndarray:
@@ -133,9 +143,7 @@ def tv_grad_image(p) -> np.ndarray:
     """
     a = _channel_stack(p)
     h, w = a.shape[:2]
-    gx, gy = _image_sobel(a)
-    coeffs = (np.sign(gx)[..., None] * SOBEL_X_VEC
-              + np.sign(gy)[..., None] * SOBEL_Y_VEC)
+    coeffs = _subgradient(*_image_sobel(a))
     grad = np.zeros_like(a)
     for t in range(9):
         i, j = divmod(t, 3)

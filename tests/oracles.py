@@ -47,6 +47,36 @@ def predict_patchwise(net, image, chunk: int = 2048) -> np.ndarray:
     return out.reshape(h, w, net.num_classes)
 
 
+# row-major 3x3 Sobel taps across rows and across columns
+_SOBEL_ROWS = np.array([-1.0, -2.0, -1.0, 0.0, 0.0, 0.0, 1.0, 2.0, 1.0])
+_SOBEL_COLS = np.array([-1.0, 0.0, 1.0, -2.0, 0.0, 2.0, -1.0, 0.0, 1.0])
+
+
+def tv_step_patchwise(net, image, centers) -> tuple[float, np.ndarray]:
+    """Summed TV penalty of the 3x3 output neighborhoods at ``centers``
+    and its parameter gradient, from the nine extracted patches of each.
+
+    The patches of all neighborhoods, row-major within each, go through
+    one ``net.batch_forward``; a loop over windows and class channels
+    takes each window's Sobel responses after subtracting its first
+    value, so a constant window has exactly zero response, and sums
+    |Gx| + |Gy|.  The coefficients sign(Gx) * rows + sign(Gy) * cols go
+    back through ``net.batch_backward``.
+    """
+    patches = np.stack([extract_patch(image, (r + dr, c + dc), net.patch_size)
+                        for r, c in centers for dr in (-1, 0, 1) for dc in (-1, 0, 1)])
+    probs, cache = net.batch_forward(patches)
+    value = 0.0
+    coeffs = np.empty_like(probs)
+    for start in range(0, len(probs), 9):
+        for ch in range(net.num_classes):
+            v = probs[start:start + 9, ch] - probs[start, ch]
+            gx, gy = v @ _SOBEL_ROWS, v @ _SOBEL_COLS
+            value += abs(gx) + abs(gy)
+            coeffs[start:start + 9, ch] = np.sign(gx) * _SOBEL_ROWS + np.sign(gy) * _SOBEL_COLS
+    return value, net.batch_backward(cache, coeffs)
+
+
 def icm_labels(probs: np.ndarray, beta: float, max_iters: int) -> np.ndarray:
     """ICM under the Potts prior in whole-vector float64 arithmetic.
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tvseg.errors import NumericalError
-from tvseg.network import (LAYER_KINDS, LayerSpec, Network, default_specs,
+from tvseg.network import (LAYER_KINDS, LayerSpec, Network, _MaxPool2x2, default_specs,
                            load_checkpoint, save_checkpoint, sgd_step,
                            specs_from_json, specs_to_json)
 
@@ -112,6 +112,42 @@ def test_batch_backward_matches_single_sum():
         _, c1 = net.batch_forward(xs[i][None])
         single += net.batch_backward(c1, gout[i][None])
     assert np.abs(batched - single).max() < 1e-9
+
+
+@pytest.mark.parametrize("specs, patch", [
+    (default_specs(2), 15),
+    ((LayerSpec("dense", 6), LayerSpec("relu"), LayerSpec("dense", 2),
+      LayerSpec("softmax")), 7),
+])
+def test_backward_skips_only_unread_layer0_input_grad(specs, patch):
+    # batch_backward leaves out layer 0's input gradient; calling every
+    # layer's backward, that one included, gives the same bits
+    rng = np.random.default_rng(14)
+    net = Network.init(specs, patch, 2, seed=14)
+    _, cache = net.batch_forward(rng.uniform(size=(5, patch, patch, 1)))
+    gout = rng.standard_normal((5, 2))
+    expect = np.zeros_like(net.params)
+    carry = gout
+    for layer, lc, (w, _), (gw, gb) in zip(
+            reversed(net._layers), reversed(cache.layer_caches),
+            reversed(net._views(net.params)), reversed(net._views(expect))):
+        carry = layer.backward(carry, lc, w, gw, gb)
+    assert carry.shape == (5, patch, patch, 1)
+    assert net.batch_backward(cache, gout).tobytes() == expect.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(1, 9, 8, 1), (2, 12, 13, 3), (4, 7, 7, 8)])
+def test_pool_fragments_max_matches_argmax(shape):
+    # without the index the pool takes the maxima directly; on ties of
+    # equal values and of +0 and -0 it keeps argmax's first maximum, sign
+    # bits included
+    rng = np.random.default_rng(sum(shape))
+    x = rng.choice(np.array([-0.0, 0.0, 0.5, -1.0]), size=shape)
+    pool = _MaxPool2x2(shape[1:], 0)
+    fast, _ = pool.fragments(x, len(x), False)
+    indexed, _ = pool.fragments(x, len(x), True)
+    assert fast.tobytes() == indexed.tobytes()
+    assert np.signbit(fast).any() and not np.signbit(fast).all()
 
 
 def test_stale_cache_rejected():

@@ -11,15 +11,16 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import tvseg
-from oracles import extract_patch, predict_patchwise
+from oracles import extract_patch, predict_patchwise, tv_step_patchwise
 from tvseg import trainer
 from tvseg.data import LabeledImage, SparseLabelSet, SynthConfig, merge_sparse, \
     sample_sparse_labels, synth_dataset
+from tvseg.gradcheck import _NB_COLS, _NB_ROWS
 from tvseg.network import LayerSpec, Network, default_specs
 from tvseg.trainer import (TrainConfig, predict_image, supervised_grad, train,
-                           unsupervised_grad, _NB_COLS, _NB_ROWS, _PREDICT_CHUNK,
-                           _gather, _loss_and_grad_out, _windows)
-from tvseg.tv_loss import tv_grad_image, tv_value_image
+                           unsupervised_grad, _PREDICT_CHUNK, _gather,
+                           _loss_and_grad_out, _windows)
+from tvseg.tv_loss import TotalVariation, _sobel, tv_grad_image, tv_value_image
 
 TINY = (LayerSpec("conv3x3", 2), LayerSpec("relu"), LayerSpec("maxpool2x2"),
         LayerSpec("dense", 8), LayerSpec("relu"), LayerSpec("dense", 2),
@@ -301,16 +302,27 @@ _ONE_ROW = ((LayerSpec("conv3x3", 8), LayerSpec("relu"), LayerSpec("maxpool2x2")
              LayerSpec("conv3x3", 8), LayerSpec("dense", 2), LayerSpec("softmax")), 9, 2)
 
 
+# a pool straight on the image, which ties +0 and -0 pixels
+_POOL_FIRST = ((LayerSpec("maxpool2x2"), LayerSpec("conv3x3", 2), LayerSpec("maxpool2x2"),
+                LayerSpec("dense", 2), LayerSpec("softmax")), 11, 2)
+
+
 @settings(max_examples=120, deadline=None)
 @given(arch=_architectures(), h=st.integers(1, 40), w=st.integers(1, 40),
-       channels=st.sampled_from([1, 3]), seed=st.integers(0, 2 ** 16))
-@example(arch=_ONE_ROW, h=1, w=1, channels=3, seed=0)
-@example(arch=(default_specs(2), 15, 2), h=40, w=39, channels=1, seed=1)
-def test_predict_matches_patchwise_oracle(arch, h, w, channels, seed):
+       channels=st.sampled_from([1, 3]), seed=st.integers(0, 2 ** 16), ties=st.booleans())
+@example(arch=_ONE_ROW, h=1, w=1, channels=3, seed=0, ties=False)
+@example(arch=(default_specs(2), 15, 2), h=40, w=39, channels=1, seed=1, ties=False)
+@example(arch=_POOL_FIRST, h=13, w=12, channels=1, seed=2, ties=True)
+def test_predict_matches_patchwise_oracle(arch, h, w, channels, seed, ties):
+    # with ties the pixels are -0, +0, 0.5 and 1, so pool windows hold
+    # equal maxima, signed zeros among them
     specs, patch_size, num_classes = arch
     rng = np.random.default_rng(seed)
     net = Network.init(specs, patch_size, num_classes, seed=seed, in_channels=channels)
-    img = rng.uniform(size=(h, w, channels))
+    if ties:
+        img = rng.choice(np.array([-0.0, 0.0, 0.5, 1.0]), size=(h, w, channels))
+    else:
+        img = rng.uniform(size=(h, w, channels))
     assert np.array_equal(predict_image(net, img), predict_patchwise(net, img))
 
 
@@ -367,6 +379,60 @@ def test_predict_large_image_memory_bound():
     patches = np.stack([extract_patch(img, (r, c), 15) for r, c in zip(rows, cols)])
     direct, _ = net.batch_forward(patches)
     assert np.abs(np.array(res["probs"]) - direct).max() < 1e-12
+
+
+# -- the TV step ---------------------------------------------------------------
+
+
+@st.composite
+def _centers(draw, h, w):
+    """1..8 neighborhood centers, often on the first or last interior row
+    or column, where the crops reach into the mirrored border."""
+    def coord(n):
+        return draw(st.one_of(st.sampled_from([1, n - 2]), st.integers(1, n - 2)))
+    return [(coord(h), coord(w)) for _ in range(draw(st.integers(1, 8)))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(arch=_architectures(), channels=st.sampled_from([1, 3]), h=st.integers(3, 20),
+       w=st.integers(3, 20), seed=st.integers(0, 2 ** 16), data=st.data())
+def test_tv_step_matches_patchwise_oracle(arch, channels, h, w, seed, data):
+    # the dense step on (P + 2)-square crops against nine extracted
+    # patches per neighborhood and a per-window Sobel loop
+    specs, patch_size, num_classes = arch
+    centers = data.draw(_centers(h, w))
+    rng = np.random.default_rng(seed)
+    net = Network.init(specs, patch_size, num_classes, seed=seed, in_channels=channels)
+    img = rng.uniform(size=(h, w, channels))
+    crops = np.stack([extract_patch(img, center, patch_size + 2) for center in centers])
+    value, grads = trainer._tv_step(net, crops, 1.0)
+    ref_value, ref_grads = tv_step_patchwise(net, img, centers)
+    assert abs(value - ref_value) <= 1e-12
+    assert np.abs(grads - ref_grads).max() <= 1e-12 * np.abs(ref_grads).max()
+
+
+def test_train_makes_one_tv_call_per_iteration(monkeypatch):
+    # one batched Sobel call per iteration, whatever the batch size and K;
+    # the per-window TotalVariation methods are never called
+    def refuse(*args):
+        raise AssertionError("per-window TV call in training")
+
+    monkeypatch.setattr(TotalVariation, "theta", refuse)
+    monkeypatch.setattr(TotalVariation, "theta_coeffs", refuse)
+    calls = []
+
+    def counting_sobel(windows):
+        calls.append(windows.shape)
+        return _sobel(windows)
+
+    monkeypatch.setattr(trainer, "_sobel", counting_sobel)
+    imgs, sparse = _toy_data()
+    for unsup_batch, num_classes in ((1, 2), (8, 2), (5, 3)):
+        calls.clear()
+        specs = TINY[:-2] + (LayerSpec("dense", num_classes), LayerSpec("softmax"))
+        train(imgs, sparse, _toy_cfg(iterations=3, unsup_batch=unsup_batch,
+                                     num_classes=num_classes, architecture=specs))
+        assert calls == 3 * [(unsup_batch, num_classes, 9)]
 
 
 # -- patch gather -------------------------------------------------------------
