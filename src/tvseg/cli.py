@@ -163,6 +163,8 @@ def cmd_synth(args) -> int:
         num_train = args.num_train
     if args.num_test is not None:
         num_test = args.num_test
+    if num_train < 1 or num_test < 1:
+        raise ValueError("num_train and num_test must be at least 1")
     cfg = _config(SynthConfig, raw, args)
     out = Path(args.out)
     save_dataset(out / "train", synth_dataset(cfg, num_train, "train", seed_offset=0))

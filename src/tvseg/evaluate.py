@@ -96,6 +96,8 @@ class ExperimentConfig:
                 raise ValueError("alphas must be positive for semi_supervised mode")
         if not self.mrf_betas:
             raise ValueError("mrf_betas must be non-empty")
+        for beta in self.mrf_betas:
+            MrfConfig(beta, self.mrf_max_iters)
         if self.data_dir is None:
             if self.num_train < 1 or self.num_test < 1:
                 raise ValueError("num_train and num_test must be at least 1")

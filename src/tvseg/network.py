@@ -26,7 +26,9 @@ pool splits each map into its four 2x2 phase fragments (Giusti et al.
 output of every patch is a window of one fragment, bitwise equal to the
 trunk output of that patch alone.  ``forward_head`` classifies a stack
 of such windows.  Both keep no layer caches.  ``batch_forward`` runs the
-same layer code on patches.
+same layer code on patches.  A layer caches only arrays it read or wrote:
+a relu masks its backward by its output, and a pool sends each window's
+gradient to the first position, row-major, that equals the window's max.
 
 ``forward_neighbourhoods`` classifies the nine patches of a 3x3 pixel
 neighbourhood from one (P + 2)-square crop: the trunk runs once per crop
@@ -147,14 +149,15 @@ class _ReLU(_Fixed):
         self.out_shape = in_shape
 
     def forward(self, x, w, b):
-        return np.maximum(x, 0.0), x > 0.0
+        y = np.maximum(x, 0.0)
+        return y, y
 
     def backward(self, dout, cache, w, gw, gb):
-        return dout * cache
+        return dout * (cache > 0.0)
 
 
 # the 2x2 offsets in row-major order: the four pool phases, and the
-# window positions that a pool's argmax index k = 2 * row + col names
+# positions of a pool window in the order its maximum is looked for
 _PHASES = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
@@ -163,65 +166,53 @@ class _MaxPool2x2(_Fixed):
         h, w, c = in_shape
         if h < 2 or w < 2:
             raise ValueError(f"maxpool2x2 input {h}x{w} smaller than window")
-        self.in_shape = in_shape
         self.out_shape = (h // 2, w // 2, c)
 
     def forward(self, x, w, b):
         """Max over the 2x2 windows with top-left corners at 2 * (i, j)."""
-        n, h, wd, c = x.shape
-        h2, w2 = h // 2, wd // 2
-        win = (x[:, :2 * h2, :2 * w2, :]
-               .reshape(n, h2, 2, w2, 2, c)
-               .transpose(0, 1, 3, 5, 2, 4)
-               .reshape(n, h2, w2, c, 4))
-        idx = win.argmax(axis=4)  # first max wins on ties
-        y = np.take_along_axis(win, idx[..., None], axis=4)[..., 0]
-        return y, idx
+        y = _max2x2(x[:, :x.shape[1] // 2 * 2, :x.shape[2] // 2 * 2])
+        return y, (x, y)
 
-    def fragments(self, x, images, keep_index):
+    def fragments(self, x, images):
         """Pool every phase of the R x R phase fragments of ``images`` maps.
 
         ``x`` holds each map's fragments in a run of R * R, fragment
         (fr, fc) at fr * R + fc of its run.  Phase (pr, pc) of it becomes
         fragment (fr + R * pr, fc + R * pc) of the map's 2R x 2R output,
         and every phase is cut to the (h - 1) // 2 rows and (w - 1) // 2
-        columns that all four have.  With ``keep_index`` the cache holds
-        each phase's argmax for ``fragments_backward``; without it the
-        maxima are taken directly.
+        columns that all four have.
         """
         n, h, wd, c = x.shape
         r = math.isqrt(n // images)
         ho, wo = (h - 1) // 2, (wd - 1) // 2
         out = np.empty((images, 2, r, 2, r, ho, wo, c))
-        idx = []
         for pr, pc in _PHASES:
-            xs = x[:, pr:pr + 2 * ho, pc:pc + 2 * wo]
-            if keep_index:
-                y, i = self.forward(xs, None, None)
-                idx.append(i)
-            else:
-                y = _max2x2(xs)
+            y = _max2x2(x[:, pr:pr + 2 * ho, pc:pc + 2 * wo])
             out[:, pr, :, pc] = y.reshape(images, r, r, ho, wo, c)
-        return out.reshape(4 * n, ho, wo, c), (x.shape, images, idx)
+        return out.reshape(4 * n, ho, wo, c), (x, out, images)
 
     def backward(self, dout, cache, w, gw, gb):
+        x, y = cache
         _, h2, w2, _ = dout.shape
-        dx = np.zeros((dout.shape[0],) + self.in_shape)
-        dx[:, :2 * h2, :2 * w2] = _unpool(dout, cache)
+        dx = np.zeros_like(x)
+        dx[:, :2 * h2, :2 * w2] = _unpool(dout, x[:, :2 * h2, :2 * w2], y)
         return dx
 
     def fragments_backward(self, dout, cache):
         """Input gradient of ``fragments``: the four phases' unpooled
         gradients summed over the positions they share."""
-        shape, images, idx = cache
-        n, _, _, c = shape
+        x, out, images = cache
+        n, _, _, c = x.shape
         r = math.isqrt(n // images)
         _, ho, wo, _ = dout.shape
         d = dout.reshape(images, 2, r, 2, r, ho, wo, c)
-        dx = np.zeros(shape)
-        for (pr, pc), i in zip(_PHASES, idx):
-            dx[:, pr:pr + 2 * ho, pc:pc + 2 * wo] += _unpool(
-                d[:, pr, :, pc].reshape(n, ho, wo, c), i)
+        y = out.reshape(d.shape)
+        dx = np.zeros_like(x)
+        for pr, pc in _PHASES:
+            rows, cols = slice(pr, pr + 2 * ho), slice(pc, pc + 2 * wo)
+            dx[:, rows, cols] += _unpool(d[:, pr, :, pc].reshape(n, ho, wo, c),
+                                         x[:, rows, cols],
+                                         y[:, pr, :, pc].reshape(n, ho, wo, c))
         return dx
 
 
@@ -230,7 +221,7 @@ def _max2x2(x):
 
     Of equal values (+0 and -0) np.maximum returns the second argument,
     so the running max goes second and the first maximum in row-major
-    order wins, as in ``_MaxPool2x2.forward``'s argmax.
+    order wins, sign bit included.
     """
     m, *rest = (x[:, a::2, b::2] for a, b in _PHASES)
     for v in rest:
@@ -238,13 +229,18 @@ def _max2x2(x):
     return m
 
 
-def _unpool(dout, idx):
+def _unpool(dout, x, y):
     """(N, 2h, 2w, C) map holding each (N, h, w, C) ``dout`` value at the
-    position its 2x2 window's argmax ``idx`` picked, zero elsewhere."""
+    first position, row-major, of its 2x2 window of ``x`` that equals the
+    window's max ``y``, zero elsewhere; the last position takes the rest."""
     n, h2, w2, c = dout.shape
     dx = np.empty((n, 2 * h2, 2 * w2, c))
-    for k, (a, b) in enumerate(_PHASES):
-        dx[:, a::2, b::2] = np.where(idx == k, dout, 0.0)
+    free = np.ones(dout.shape, dtype=bool)
+    for a, b in _PHASES[:-1]:
+        hit = free & (x[:, a::2, b::2] == y)
+        dx[:, a::2, b::2] = np.where(hit, dout, 0.0)
+        free ^= hit
+    dx[:, 1::2, 1::2] = np.where(free, dout, 0.0)
     return dx
 
 
@@ -406,11 +402,12 @@ class Network:
         for i in layers:
             layer, (w, b) = self._layers[i], views[i]
             if images and isinstance(layer, _MaxPool2x2):
-                x, cache = layer.fragments(x, images, caches is not None)
+                x, cache = layer.fragments(x, images)
             else:
                 x, cache = layer.forward(x, w, b)
             if caches is not None:
                 caches.append(cache)
+            del cache  # a pool's cache holds its input; a cache-free pass drops it here
         return x
 
     def _pad_slack(self, maps):

@@ -77,6 +77,32 @@ def tv_step_patchwise(net, image, centers) -> tuple[float, np.ndarray]:
     return value, net.batch_backward(cache, coeffs)
 
 
+def maxpool_argmax(x) -> tuple[np.ndarray, np.ndarray]:
+    """2x2 max pool, stride 2, of an (N, H, W, C) map, a trailing odd row
+    or column dropped, and the argmax index k = 2 * row + col of each
+    window: the window's values are laid out along a last axis in
+    row-major order, argmax takes the first maximum and
+    ``take_along_axis`` reads it."""
+    n, h, w, c = x.shape
+    h2, w2 = h // 2, w // 2
+    win = (x[:, :2 * h2, :2 * w2].reshape(n, h2, 2, w2, 2, c)
+           .transpose(0, 1, 3, 5, 2, 4).reshape(n, h2, w2, c, 4))
+    idx = win.argmax(axis=4)
+    return np.take_along_axis(win, idx[..., None], axis=4)[..., 0], idx
+
+
+def maxpool_argmax_backward(dout, idx, in_shape) -> np.ndarray:
+    """Input gradient of ``maxpool_argmax``: each ``dout`` value scattered
+    to the window position its index names, zero everywhere else."""
+    n, h2, w2, c = dout.shape
+    win = np.zeros((n, h2, w2, c, 4))
+    np.put_along_axis(win, idx[..., None], dout[..., None], axis=4)
+    dx = np.zeros(in_shape)
+    dx[:, :2 * h2, :2 * w2] = (win.reshape(n, h2, w2, c, 2, 2)
+                               .transpose(0, 1, 4, 2, 5, 3).reshape(n, 2 * h2, 2 * w2, c))
+    return dx
+
+
 def icm_labels(probs: np.ndarray, beta: float, max_iters: int) -> np.ndarray:
     """ICM under the Potts prior in whole-vector float64 arithmetic.
 

@@ -320,6 +320,35 @@ def test_nonfinite_config_numbers_exit_one(tmp_path, monkeypatch, command, confi
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
 
 
+@pytest.mark.parametrize("flags, config", [
+    (["--num-train", "-1"], None),
+    (["--num-test", "0"], None),
+    ([], '{"num_train": 0}'),
+    ([], '{"num_test": -3}'),
+], ids=["flag_train", "flag_test", "config_train", "config_test"])
+def test_synth_counts_below_one_exit_one(tmp_path, monkeypatch, flags, config):
+    monkeypatch.chdir(tmp_path)
+    if config:
+        (tmp_path / "bad.json").write_text(config)
+        flags = flags + ["--config", "bad.json"]
+    assert main(["synth", "--out", "d"] + flags) == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == (["bad.json"] if config else [])
+
+
+@pytest.mark.parametrize("config", ['{"mrf_betas": [-1]}', '{"mrf_betas": [1.0, -0.5]}',
+                                    '{"mrf_max_iters": 0}'],
+                         ids=["negative_beta", "one_bad_beta", "zero_iters"])
+def test_experiment_rejects_mrf_settings_before_training(tmp_path, monkeypatch, config):
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained before the MRF settings were checked")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr("tvseg.evaluate.train", no_training)
+    (tmp_path / "bad.json").write_text(config)
+    assert main(["experiment", "--out", "e", "--config", "bad.json"]) == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
+
+
 @pytest.mark.parametrize("field", ["version", "specs", "patch_size", "num_classes",
                                    "in_channels", "seed"])
 def test_checkpoint_missing_metadata_field_exits_one(tmp_path, capsys, field):

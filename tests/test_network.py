@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from oracles import maxpool_argmax, maxpool_argmax_backward
 from tvseg.errors import NumericalError
-from tvseg.network import (LAYER_KINDS, LayerSpec, Network, _MaxPool2x2, default_specs,
+from tvseg.network import (LAYER_KINDS, LayerSpec, Network, _MaxPool2x2, _ReLU, default_specs,
                            load_checkpoint, save_checkpoint, sgd_step,
                            specs_from_json, specs_to_json)
 
@@ -136,18 +138,57 @@ def test_backward_skips_only_unread_layer0_input_grad(specs, patch):
     assert net.batch_backward(cache, gout).tobytes() == expect.tobytes()
 
 
-@pytest.mark.parametrize("shape", [(1, 9, 8, 1), (2, 12, 13, 3), (4, 7, 7, 8)])
-def test_pool_fragments_max_matches_argmax(shape):
-    # without the index the pool takes the maxima directly; on ties of
-    # equal values and of +0 and -0 it keeps argmax's first maximum, sign
-    # bits included
-    rng = np.random.default_rng(sum(shape))
-    x = rng.choice(np.array([-0.0, 0.0, 0.5, -1.0]), size=shape)
-    pool = _MaxPool2x2(shape[1:], 0)
-    fast, _ = pool.fragments(x, len(x), False)
-    indexed, _ = pool.fragments(x, len(x), True)
-    assert fast.tobytes() == indexed.tobytes()
-    assert np.signbit(fast).any() and not np.signbit(fast).all()
+_TIES = np.array([-1.0, -0.0, 0.0, 0.5])
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 4), one_image=st.booleans(), h=st.integers(3, 10),
+       w=st.integers(3, 10), c=st.integers(1, 8), tie_share=st.sampled_from([0.5, 0.9, 1.0]),
+       seed=st.integers(0, 2 ** 16))
+def test_pool_matches_argmax_oracle(n, one_image, h, w, c, tie_share, seed):
+    # forward and backward, on patches and on every phase of the R x R
+    # fragments of ``images`` maps (four maps may be the 2 x 2 fragments
+    # of one), byte for byte against the argmax pool: on ties of equal
+    # values and of +0 and -0 the first maximum wins, sign bit included,
+    # and the gradient goes back to where the maximum came from
+    images, r = (1, 2) if n == 4 and one_image else (n, 1)
+    rng = np.random.default_rng(seed)
+    x = np.where(rng.uniform(size=(n, h, w, c)) < tie_share,
+                 rng.choice(_TIES, size=(n, h, w, c)), rng.uniform(-1.0, 1.0, (n, h, w, c)))
+    pool = _MaxPool2x2((h, w, c), 0)
+
+    y, cache = pool.forward(x, None, None)
+    expect, idx = maxpool_argmax(x)
+    assert y.tobytes() == expect.tobytes()
+    dout = rng.choice(np.array([-2.0, -0.0, 0.0, 1.5]), size=y.shape)
+    assert (pool.backward(dout, cache, None, None, None).tobytes()
+            == maxpool_argmax_backward(dout, idx, x.shape).tobytes())
+
+    out, cache = pool.fragments(x, images)
+    ho, wo = (h - 1) // 2, (w - 1) // 2
+    dout = rng.standard_normal(out.shape)
+    phases = out.reshape(images, 2, r, 2, r, ho, wo, c)
+    douts = dout.reshape(phases.shape)
+    dx = np.zeros_like(x)
+    for pr, pc in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        xs = x[:, pr:pr + 2 * ho, pc:pc + 2 * wo]
+        expect, idx = maxpool_argmax(xs)
+        assert (phases[:, pr, :, pc].tobytes()
+                == expect.reshape(images, r, r, ho, wo, c).tobytes())
+        dx[:, pr:pr + 2 * ho, pc:pc + 2 * wo] += maxpool_argmax_backward(
+            douts[:, pr, :, pc].reshape(n, ho, wo, c), idx, xs.shape)
+    assert pool.fragments_backward(dout, cache).tobytes() == dx.tobytes()
+
+
+def test_relu_backward_masks_by_positive_input():
+    x = np.array([-1.0, -0.0, 0.0, 2.0]).reshape(1, 2, 2, 1)
+    relu = _ReLU(x.shape[1:], 0)
+    y, cache = relu.forward(x, None, None)
+    for dout in (np.full_like(x, 3.0), np.full_like(x, -3.0), np.array([
+            [[[np.inf], [-np.inf]], [[np.nan], [-0.0]]]])):
+        with np.errstate(invalid="ignore"):  # inf * 0
+            got = relu.backward(dout, cache, None, None, None)
+            assert got.tobytes() == (dout * (x > 0)).tobytes()
 
 
 def test_stale_cache_rejected():
