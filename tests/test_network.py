@@ -183,7 +183,7 @@ def test_pool_matches_argmax_oracle(n, one_image, h, w, c, tie_share, seed):
 def test_relu_backward_masks_by_positive_input():
     x = np.array([-1.0, -0.0, 0.0, 2.0]).reshape(1, 2, 2, 1)
     relu = _ReLU(x.shape[1:], 0)
-    y, cache = relu.forward(x, None, None)
+    _, cache = relu.forward(x, None, None)
     for dout in (np.full_like(x, 3.0), np.full_like(x, -3.0), np.array([
             [[[np.inf], [-np.inf]], [[np.nan], [-0.0]]]])):
         with np.errstate(invalid="ignore"):  # inf * 0
