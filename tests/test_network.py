@@ -180,6 +180,22 @@ def test_pool_matches_argmax_oracle(n, one_image, h, w, c, tie_share, seed):
     assert pool.fragments_backward(dout, cache).tobytes() == dx.tobytes()
 
 
+@pytest.mark.parametrize("shape", [(1, 9, 8, 1), (2, 12, 13, 3), (4, 7, 7, 8)])
+def test_pool_fragments_max_matches_argmax(shape):
+    # the pool takes the maxima directly; on ties of equal values and of
+    # +0 and -0 every phase keeps argmax's first maximum, sign bits included
+    rng = np.random.default_rng(sum(shape))
+    x = rng.choice(_TIES, size=shape)
+    n, h, w, c = shape
+    ho, wo = (h - 1) // 2, (w - 1) // 2
+    out, _ = _MaxPool2x2(shape[1:], 0).fragments(x, n)
+    phases = out.reshape(n, 2, 1, 2, 1, ho, wo, c)
+    for pr, pc in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        expect, _ = maxpool_argmax(x[:, pr:pr + 2 * ho, pc:pc + 2 * wo])
+        assert phases[:, pr, 0, pc].tobytes() == expect.tobytes()
+    assert np.signbit(out).any() and not np.signbit(out).all()
+
+
 def test_relu_backward_masks_by_positive_input():
     x = np.array([-1.0, -0.0, 0.0, 2.0]).reshape(1, 2, 2, 1)
     relu = _ReLU(x.shape[1:], 0)
