@@ -95,11 +95,18 @@ def _load_config(path) -> dict:
     return obj
 
 
+def _check_int(where: str, value) -> None:
+    """Accept a JSON integer only: a float or true/false raises ValueError."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{where} must be an integer, got {value!r}")
+
+
 def _config(cls, raw, args=None):
     """Build the config dataclass ``cls`` from a JSON object.
 
     Every non-None attribute of ``args`` named like a field overrides the
-    JSON value.  Nested config sections are built by the same call, an
+    JSON value.  Fields of type ``int`` and ``tuple[int, ...]`` take JSON
+    integers only.  Nested config sections are built by the same call, an
     ``architecture`` goes through ``specs_from_json`` and other lists
     become tuples.
     """
@@ -115,6 +122,14 @@ def _config(cls, raw, args=None):
         if getattr(args, name, None) is not None:
             values[name] = getattr(args, name)
     for name, value in values.items():
+        where = f"{section} config field {name}"
+        if types[name] is int:
+            _check_int(where, value)
+        elif types[name] == tuple[int, ...]:
+            if not isinstance(value, (list, tuple)):
+                raise ValueError(f"{where} must be a list of integers, got {value!r}")
+            for item in value:
+                _check_int(f"each entry of {where}", item)
         if is_dataclass(types[name]):
             values[name] = _config(types[name], value)
         elif name == "architecture" and value is not None:
@@ -157,12 +172,14 @@ def _str_list(text: str) -> list[str]:
 
 def cmd_synth(args) -> int:
     raw = _load_config(args.config)
-    num_train = int(raw.pop("num_train", 20))
-    num_test = int(raw.pop("num_test", 20))
+    num_train = raw.pop("num_train", 20)
+    num_test = raw.pop("num_test", 20)
     if args.num_train is not None:
         num_train = args.num_train
     if args.num_test is not None:
         num_test = args.num_test
+    _check_int("synth config field num_train", num_train)
+    _check_int("synth config field num_test", num_test)
     if num_train < 1 or num_test < 1:
         raise ValueError("num_train and num_test must be at least 1")
     cfg = _config(SynthConfig, raw, args)
@@ -177,6 +194,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    if args.n < 1:
+        raise ValueError(f"--n must be at least 1, got {args.n}")
     labels_dir = Path(args.labels)
     files = sorted(labels_dir.glob("*.pgm"))
     if not files:

@@ -110,6 +110,15 @@ class _Fixed:
 
 
 class _Conv3x3:
+    """Valid 3x3 convolution as nine 2-D products, one per kernel tap.
+
+    Each ``np.dot`` gets the operands ``np.tensordot`` would build for
+    that tap (same shapes, same memory order), so BLAS runs the same
+    call and the results are bitwise those of the tensordot form in
+    ``tests/oracles.py``.  The taps stay separate and in (i, j) order:
+    one GEMM over all nine sums in another order and is not bitwise.
+    """
+
     def __init__(self, in_shape, maps):
         h, w, c = in_shape
         if h < 3 or w < 3:
@@ -118,29 +127,33 @@ class _Conv3x3:
         self.w_shape = (3, 3, c, maps)
 
     def forward(self, x, w, b):
-        n, ho, wo = x.shape[0], x.shape[1] - 2, x.shape[2] - 2
+        n, ho, wo, c = x.shape[0], x.shape[1] - 2, x.shape[2] - 2, x.shape[3]
         y = np.broadcast_to(b, (n, ho, wo, b.size)).copy()
+        rows = y.reshape(-1, b.size)
         for i in range(3):
             for j in range(3):
-                y += np.tensordot(x[:, i:i + ho, j:j + wo, :], w[i, j], axes=([3], [0]))
+                rows += np.dot(x[:, i:i + ho, j:j + wo, :].reshape(-1, c), w[i, j])
         return y, x
 
     def param_grads(self, dout, cache, gw, gb):
         x = cache
-        _, ho, wo, _ = dout.shape
+        _, ho, wo, maps = dout.shape
+        c = x.shape[3]
+        d = dout.reshape(-1, maps)
         gb[:] = dout.sum(axis=(0, 1, 2))
         for i in range(3):
             for j in range(3):
-                gw[i, j] = np.tensordot(x[:, i:i + ho, j:j + wo, :], dout,
-                                        axes=([0, 1, 2], [0, 1, 2]))
+                taps = x[:, i:i + ho, j:j + wo, :].transpose(3, 0, 1, 2)
+                gw[i, j] = np.dot(taps.reshape(c, -1), d)
 
     def backward(self, dout, cache, w, gw, gb):
         self.param_grads(dout, cache, gw, gb)
-        _, ho, wo, _ = dout.shape
+        n, ho, wo, maps = dout.shape
+        d = dout.reshape(-1, maps)
         dx = np.zeros_like(cache)
         for i in range(3):
             for j in range(3):
-                dx[:, i:i + ho, j:j + wo, :] += np.tensordot(dout, w[i, j], axes=([3], [1]))
+                dx[:, i:i + ho, j:j + wo, :] += np.dot(d, w[i, j].T).reshape(n, ho, wo, -1)
         return dx
 
 

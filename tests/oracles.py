@@ -77,6 +77,42 @@ def tv_step_patchwise(net, image, centers) -> tuple[float, np.ndarray]:
     return value, net.batch_backward(cache, coeffs)
 
 
+def conv3x3(x, w, b) -> np.ndarray:
+    """Valid 3x3 convolution of an (N, H, W, C) map with (3, 3, C, M)
+    weights and (M,) biases: the bias plus the nine taps' ``tensordot``
+    products over the channel axis, added in row-major tap order."""
+    n, ho, wo = x.shape[0], x.shape[1] - 2, x.shape[2] - 2
+    y = np.broadcast_to(b, (n, ho, wo, b.size)).copy()
+    for i in range(3):
+        for j in range(3):
+            y += np.tensordot(x[:, i:i + ho, j:j + wo, :], w[i, j], axes=([3], [0]))
+    return y
+
+
+def conv3x3_param_grads(dout, x) -> tuple[np.ndarray, np.ndarray]:
+    """Weight and bias gradients of ``conv3x3`` for the output gradient
+    ``dout``: each tap's ``tensordot`` of its input window with ``dout``
+    over the batch and spatial axes, and ``dout`` summed over them."""
+    _, ho, wo, maps = dout.shape
+    gw = np.empty((3, 3, x.shape[3], maps))
+    for i in range(3):
+        for j in range(3):
+            gw[i, j] = np.tensordot(x[:, i:i + ho, j:j + wo, :], dout,
+                                    axes=([0, 1, 2], [0, 1, 2]))
+    return gw, dout.sum(axis=(0, 1, 2))
+
+
+def conv3x3_backward(dout, x, w) -> np.ndarray:
+    """Input gradient of ``conv3x3``: each tap's ``tensordot`` of ``dout``
+    with its weights over the map axis, added into the window it read."""
+    _, ho, wo, _ = dout.shape
+    dx = np.zeros_like(x)
+    for i in range(3):
+        for j in range(3):
+            dx[:, i:i + ho, j:j + wo, :] += np.tensordot(dout, w[i, j], axes=([3], [1]))
+    return dx
+
+
 def maxpool_argmax(x) -> tuple[np.ndarray, np.ndarray]:
     """2x2 max pool, stride 2, of an (N, H, W, C) map, a trailing odd row
     or column dropped, and the argmax index k = 2 * row + col of each

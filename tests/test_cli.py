@@ -335,6 +335,40 @@ def test_synth_counts_below_one_exit_one(tmp_path, monkeypatch, flags, config):
     assert sorted(p.name for p in tmp_path.iterdir()) == (["bad.json"] if config else [])
 
 
+@pytest.mark.parametrize("command, config, field", [
+    ("synth", '{"num_train": 1.7}', "num_train"),
+    ("synth", '{"num_test": true}', "num_test"),
+    ("synth", '{"height": 20.0}', "height"),
+    ("train", '{"seed": 1.5}', "seed"),
+    ("train", '{"unsup_batch": false}', "unsup_batch"),
+    ("experiment", '{"labels_per_image": [2.5]}', "labels_per_image"),
+    ("experiment", '{"labels_per_image": 3}', "labels_per_image"),
+    ("experiment", '{"train": {"iterations": true}}', "iterations"),
+    ("experiment", '{"synth": {"num_shapes": 2.0}}', "num_shapes"),
+], ids=["synth_float_count", "synth_bool_count", "synth_float_field", "train_float",
+        "train_bool", "experiment_float_entry", "experiment_bare_int",
+        "experiment_train_bool", "experiment_synth_float"])
+def test_non_integer_config_fields_exit_one(workspace, tmp_path, monkeypatch, capsys,
+                                            command, config, field):
+    # integer fields take JSON integers only; the field is named, and
+    # nothing is written or trained
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained on a non-integer config field")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr("tvseg.evaluate.train", no_training)
+    if command == "train":  # valid but for the field, so only the check stops it
+        config = json.dumps(dict(json.loads(config), architecture=TINY_JSON,
+                                 patch_size=9, iterations=2))
+    (tmp_path / "bad.json").write_text(config)
+    extra = {"synth": ["--out", "d"], "experiment": ["--out", "e"],
+             "train": ["--data", str(workspace / "data" / "train"),
+                       "--sparse", str(workspace / "sparse.csv"), "--out", "m.npz"]}
+    assert main([command, "--config", "bad.json"] + extra[command]) == 1
+    assert f"field {field} " in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
+
+
 @pytest.mark.parametrize("config", ['{"mrf_betas": [-1]}', '{"mrf_betas": [1.0, -0.5]}',
                                     '{"mrf_max_iters": 0}'],
                          ids=["negative_beta", "one_bad_beta", "zero_iters"])
@@ -413,6 +447,15 @@ def test_experiment_command(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["resolved_config"]["trials"] == 1
     assert manifest["resolved_config"]["train"]["patch_size"] == 9
+
+
+@pytest.mark.parametrize("n", ["0", "-2"])
+def test_sample_count_below_one_exits_one(workspace, tmp_path, capsys, n):
+    out = tmp_path / "s.csv"
+    assert main(["sample", "--labels", str(workspace / "data" / "train" / "labels"),
+                 "--n", n, "--out", str(out)]) == 1
+    assert "--n" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_validation_errors_exit_one(tmp_path):

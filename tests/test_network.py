@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import maxpool_argmax, maxpool_argmax_backward
+from oracles import (conv3x3, conv3x3_backward, conv3x3_param_grads, maxpool_argmax,
+                     maxpool_argmax_backward)
 from tvseg.errors import NumericalError
-from tvseg.network import (LAYER_KINDS, LayerSpec, Network, _MaxPool2x2, _ReLU, default_specs,
-                           load_checkpoint, save_checkpoint, sgd_step,
+from tvseg.network import (LAYER_KINDS, LayerSpec, Network, _Conv3x3, _MaxPool2x2, _ReLU,
+                           default_specs, load_checkpoint, save_checkpoint, sgd_step,
                            specs_from_json, specs_to_json)
 
 TINY = (LayerSpec("conv3x3", 2), LayerSpec("relu"), LayerSpec("maxpool2x2"),
@@ -136,6 +137,31 @@ def test_backward_skips_only_unread_layer0_input_grad(specs, patch):
         carry = layer.backward(carry, lc, w, gw, gb)
     assert carry.shape == (5, patch, patch, 1)
     assert net.batch_backward(cache, gout).tobytes() == expect.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 9), h=st.integers(3, 12), w=st.integers(3, 12),
+       c=st.sampled_from([1, 3, 8]), maps=st.integers(1, 8), sliced=st.booleans(),
+       seed=st.integers(0, 2 ** 16))
+def test_conv_matches_tensordot_oracle(n, h, w, c, maps, sliced, seed):
+    # forward, weight, bias and input gradients byte for byte against the
+    # tensordot form, on a contiguous input and on a strided slice of one
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, h + 2, 2 * w, c))
+    x = x[:, 1:h + 1, ::2] if sliced else np.ascontiguousarray(x[:, :h, :w])
+    assert x.flags.c_contiguous != sliced
+    wt, b = rng.standard_normal((3, 3, c, maps)), rng.standard_normal(maps)
+    conv = _Conv3x3((h, w, c), maps)
+
+    y, cache = conv.forward(x, wt, b)
+    assert y.tobytes() == conv3x3(x, wt, b).tobytes()
+    dout = rng.standard_normal(y.shape)
+    gw, gb = np.full(wt.shape, np.nan), np.full(maps, np.nan)
+    dx = conv.backward(dout, cache, wt, gw, gb)
+    expect_gw, expect_gb = conv3x3_param_grads(dout, x)
+    assert gw.tobytes() == expect_gw.tobytes()
+    assert gb.tobytes() == expect_gb.tobytes()
+    assert dx.tobytes() == conv3x3_backward(dout, x, wt).tobytes()
 
 
 _TIES = np.array([-1.0, -0.0, 0.0, 0.5])
