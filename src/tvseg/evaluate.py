@@ -24,7 +24,7 @@ import numpy as np
 
 from .data import (LabeledImage, SynthConfig, UNLABELED, load_dataset,
                    merge_sparse, sample_sparse_labels, synth_dataset)
-from .mrf import MrfConfig, icm_smooth
+from .mrf import MrfConfig, argmax_labels, icm_smooth
 from .rng import ROLE_SPARSE, ROLE_TRAIN, mix_seed
 from .trainer import TrainConfig, predict_image, train
 
@@ -91,6 +91,8 @@ class ExperimentConfig:
         bad = set(self.modes) - set(MODES)
         if bad or not self.modes:
             raise ValueError(f"modes must be a non-empty subset of {MODES}")
+        if not np.isfinite(self.alphas).all():
+            raise ValueError("alphas must be finite")
         if "semi_supervised" in self.modes:
             if not self.alphas or any(a <= 0 for a in self.alphas):
                 raise ValueError("alphas must be positive for semi_supervised mode")
@@ -138,7 +140,7 @@ def _predict_all(net, images: dict[str, LabeledImage]) -> dict[str, np.ndarray]:
 
 
 def _argmax_all(probs: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    return {name: p.argmax(axis=2).astype(np.uint8) for name, p in probs.items()}
+    return {name: argmax_labels(p) for name, p in probs.items()}
 
 
 def _check_labels(images: dict[str, LabeledImage], k: int, what: str) -> None:

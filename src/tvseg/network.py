@@ -26,17 +26,21 @@ pool splits each map into its four 2x2 phase fragments (Giusti et al.
 output of every patch is a window of one fragment, bitwise equal to the
 trunk output of that patch alone.  ``forward_head`` classifies a stack
 of such windows.  Both keep no layer caches.  ``batch_forward`` runs the
-same layer code on patches.  A layer caches only arrays it read or wrote:
-a relu masks its backward by its output, and a pool sends each window's
-gradient to the first position, row-major, that equals the window's max.
+same layer code on patches, which the pool pools as the one-phase case
+of fragments.  A layer's ``backward`` returns only its input gradient; a
+trainable layer's ``param_grads`` writes its weight and bias gradients.
+A layer caches only arrays it read or wrote: a relu masks its backward
+by its output, and a pool sends each window's gradient to the first
+position, row-major, that equals the window's max.
 
 ``forward_neighbourhoods`` classifies the nine patches of a 3x3 pixel
 neighbourhood from one (P + 2)-square crop: the trunk runs once per crop
 on fragments with its caches kept, and the head on the nine windows.
 ``backward_neighbourhoods`` goes back the same way (Li et al. 2014): the
-head's input gradient is scatter-added into the fragments, and each pool
-sums the gradients of its four phases.  The result is the patch-wise
-gradient up to the order of summation, not bitwise.
+head's input gradient is scatter-added into the fragments at the offsets
+``trunk_windows`` reads, and each pool sums the gradients of its four
+phases.  The result is the patch-wise gradient up to the order of
+summation, not bitwise.
 """
 
 import json
@@ -58,6 +62,8 @@ class LayerSpec:
     def __post_init__(self):
         if self.kind not in LAYER_KINDS:
             raise ValueError(f"unknown layer kind {self.kind!r}")
+        if isinstance(self.size, bool) or not isinstance(self.size, int):
+            raise ValueError(f"{self.kind} layer size must be an integer, got {self.size!r}")
         if issubclass(_LAYERS[self.kind], _Fixed):
             if self.size != 0:
                 raise ValueError(f"{self.kind} layer takes no size, got {self.size}")
@@ -87,11 +93,8 @@ def specs_to_json(specs) -> list:
 def specs_from_json(obj) -> tuple[LayerSpec, ...]:
     out = []
     for entry in obj:
-        if isinstance(entry, str):
-            out.append(LayerSpec(entry))
-        else:
-            kind, size = entry
-            out.append(LayerSpec(str(kind), int(size)))
+        kind, size = (entry, 0) if isinstance(entry, str) else entry
+        out.append(LayerSpec(kind, size))
     return tuple(out)
 
 
@@ -126,7 +129,7 @@ class _Conv3x3:
         self.out_shape = (h - 2, w - 2, maps)
         self.w_shape = (3, 3, c, maps)
 
-    def forward(self, x, w, b):
+    def forward(self, x, w, b, images=0):
         n, ho, wo, c = x.shape[0], x.shape[1] - 2, x.shape[2] - 2, x.shape[3]
         y = np.broadcast_to(b, (n, ho, wo, b.size)).copy()
         rows = y.reshape(-1, b.size)
@@ -146,8 +149,7 @@ class _Conv3x3:
                 taps = x[:, i:i + ho, j:j + wo, :].transpose(3, 0, 1, 2)
                 gw[i, j] = np.dot(taps.reshape(c, -1), d)
 
-    def backward(self, dout, cache, w, gw, gb):
-        self.param_grads(dout, cache, gw, gb)
+    def backward(self, dout, cache, w):
         n, ho, wo, maps = dout.shape
         d = dout.reshape(-1, maps)
         dx = np.zeros_like(cache)
@@ -161,11 +163,11 @@ class _ReLU(_Fixed):
     def __init__(self, in_shape, size):
         self.out_shape = in_shape
 
-    def forward(self, x, w, b):
+    def forward(self, x, w, b, images=0):
         y = np.maximum(x, 0.0)
         return y, y
 
-    def backward(self, dout, cache, w, gw, gb):
+    def backward(self, dout, cache, w):
         return dout * (cache > 0.0)
 
 
@@ -181,51 +183,45 @@ class _MaxPool2x2(_Fixed):
             raise ValueError(f"maxpool2x2 input {h}x{w} smaller than window")
         self.out_shape = (h // 2, w // 2, c)
 
-    def forward(self, x, w, b):
-        """Max over the 2x2 windows with top-left corners at 2 * (i, j)."""
-        y = _max2x2(x[:, :x.shape[1] // 2 * 2, :x.shape[2] // 2 * 2])
-        return y, (x, y)
+    def forward(self, x, w, b, images=0):
+        """Max over the 2x2 windows of a patch batch, or of every phase of
+        the R x R phase fragments of ``images`` maps.
 
-    def fragments(self, x, images):
-        """Pool every phase of the R x R phase fragments of ``images`` maps.
-
-        ``x`` holds each map's fragments in a run of R * R, fragment
-        (fr, fc) at fr * R + fc of its run.  Phase (pr, pc) of it becomes
-        fragment (fr + R * pr, fc + R * pc) of the map's 2R x 2R output,
-        and every phase is cut to the (h - 1) // 2 rows and (w - 1) // 2
-        columns that all four have.
+        With ``images`` > 0, ``x`` holds each map's fragments in a run of
+        R * R, fragment (fr, fc) at fr * R + fc of its run.  Phase (pr, pc)
+        of it becomes fragment (fr + R * pr, fc + R * pc) of the map's
+        2R x 2R output, and every phase is cut to the (h - 1) // 2 rows
+        and (w - 1) // 2 columns that all four have.  A patch batch is the
+        one-phase case of N maps with R = 1: windows at 2 * (i, j), cut to
+        h // 2 rows and w // 2 columns.
         """
         n, h, wd, c = x.shape
+        s = 2 if images else 1  # phases per axis
+        images = images or n
         r = math.isqrt(n // images)
-        ho, wo = (h - 1) // 2, (wd - 1) // 2
-        out = np.empty((images, 2, r, 2, r, ho, wo, c))
-        for pr, pc in _PHASES:
-            y = _max2x2(x[:, pr:pr + 2 * ho, pc:pc + 2 * wo])
-            out[:, pr, :, pc] = y.reshape(images, r, r, ho, wo, c)
-        return out.reshape(4 * n, ho, wo, c), (x, out, images)
+        ho, wo = (h - s + 1) // 2, (wd - s + 1) // 2
+        y = np.empty((images, s, r, s, r, ho, wo, c))
+        for pr, pc in _PHASES[:s * s]:
+            m = _max2x2(x[:, pr:pr + 2 * ho, pc:pc + 2 * wo])
+            y[:, pr, :, pc] = m.reshape(images, r, r, ho, wo, c)
+        return y.reshape(-1, ho, wo, c), (x, y)
 
-    def backward(self, dout, cache, w, gw, gb):
+    def backward(self, dout, cache, w):
+        """Input gradient: each phase's gradient unpooled into the
+        positions it read.  The first phase is assigned and the others
+        added, so the one phase of a patch batch keeps its signed zeros."""
         x, y = cache
-        _, h2, w2, _ = dout.shape
+        n, s, (ho, wo, c) = len(x), y.shape[1], y.shape[5:]
+        d = dout.reshape(y.shape)
         dx = np.zeros_like(x)
-        dx[:, :2 * h2, :2 * w2] = _unpool(dout, x[:, :2 * h2, :2 * w2], y)
-        return dx
-
-    def fragments_backward(self, dout, cache):
-        """Input gradient of ``fragments``: the four phases' unpooled
-        gradients summed over the positions they share."""
-        x, out, images = cache
-        n, _, _, c = x.shape
-        r = math.isqrt(n // images)
-        _, ho, wo, _ = dout.shape
-        d = dout.reshape(images, 2, r, 2, r, ho, wo, c)
-        y = out.reshape(d.shape)
-        dx = np.zeros_like(x)
-        for pr, pc in _PHASES:
-            rows, cols = slice(pr, pr + 2 * ho), slice(pc, pc + 2 * wo)
-            dx[:, rows, cols] += _unpool(d[:, pr, :, pc].reshape(n, ho, wo, c),
-                                         x[:, rows, cols],
-                                         y[:, pr, :, pc].reshape(n, ho, wo, c))
+        for pr, pc in _PHASES[:s * s]:
+            at = np.s_[:, pr:pr + 2 * ho, pc:pc + 2 * wo]
+            part = _unpool(d[:, pr, :, pc].reshape(n, ho, wo, c), x[at],
+                           y[:, pr, :, pc].reshape(n, ho, wo, c))
+            if pr or pc:
+                dx[at] += part
+            else:
+                dx[at] = part
         return dx
 
 
@@ -263,7 +259,7 @@ class _Dense:
         self.out_shape = (units,)
         self.w_shape = (math.prod(in_shape), units)
 
-    def forward(self, x, w, b):
+    def forward(self, x, w, b, images=0):
         xf = x.reshape(x.shape[0], -1)
         return xf @ w + b, xf
 
@@ -271,8 +267,7 @@ class _Dense:
         gw[:] = cache.T @ dout
         gb[:] = dout.sum(axis=0)
 
-    def backward(self, dout, cache, w, gw, gb):
-        self.param_grads(dout, cache, gw, gb)
+    def backward(self, dout, cache, w):
         return (dout @ w.T).reshape((dout.shape[0],) + self.in_shape)
 
 
@@ -282,13 +277,13 @@ class _Softmax(_Fixed):
             raise ValueError("softmax input must be a flat vector; add a dense layer first")
         self.out_shape = in_shape
 
-    def forward(self, x, w, b):
+    def forward(self, x, w, b, images=0):
         z = x - x.max(axis=1, keepdims=True)
         e = np.exp(z)
         p = e / e.sum(axis=1, keepdims=True)
         return p, p
 
-    def backward(self, dout, cache, w, gw, gb):
+    def backward(self, dout, cache, w):
         p = cache
         return p * (dout - (dout * p).sum(axis=1, keepdims=True))
 
@@ -297,6 +292,11 @@ _LAYERS = {"conv3x3": _Conv3x3, "relu": _ReLU, "maxpool2x2": _MaxPool2x2,
            "dense": _Dense, "softmax": _Softmax}
 
 LAYER_KINDS = tuple(_LAYERS)
+
+
+# top-left corners (rows, cols) of the nine patches of a (P + 2)-square
+# crop, in row-major order
+_NEIGHBOURS = tuple(divmod(t, 3) for t in range(9))
 
 
 @dataclass
@@ -408,16 +408,12 @@ class Network:
         """Run the ``layers`` (a range of indices) on the batch ``x``.
 
         With ``images`` > 0, ``x`` holds the phase fragments of that many
-        maps and every pool splits them further (``_MaxPool2x2.fragments``).
-        Each layer's cache is appended to ``caches`` unless it is None.
+        maps and every pool splits them further.  Each layer's cache is
+        appended to ``caches`` unless it is None.
         """
         views = self._views(self.params)
         for i in layers:
-            layer, (w, b) = self._layers[i], views[i]
-            if images and isinstance(layer, _MaxPool2x2):
-                x, cache = layer.fragments(x, images)
-            else:
-                x, cache = layer.forward(x, w, b)
+            x, cache = self._layers[i].forward(x, *views[i], images)
             if caches is not None:
                 caches.append(cache)
             del cache  # a pool's cache holds its input; a cache-free pass drops it here
@@ -430,26 +426,20 @@ class Network:
         s = self.trunk_stride - 1
         return np.pad(maps, ((0, 0), (0, s), (0, s), (0, 0)))
 
-    def _backward(self, layers: range, caches, carry, grads, fragments=False):
+    def _backward(self, layers: range, caches, carry, grads):
         """Backpropagate ``carry`` through the ``layers`` (a range of
         indices) in reverse, writing their parameter gradients into
         ``grads``, and return the gradient at the input of the first.
 
-        ``fragments`` says the forward ran on phase fragments.  Nothing
-        reads the input gradient of layer 0, so there only the parameter
-        gradients are computed, and None is returned.
+        Nothing reads the input gradient of layer 0, so there only the
+        parameter gradients are computed, and None is returned.
         """
         p_views, g_views = self._views(self.params), self._views(grads)
         for i in reversed(layers):
-            layer, lc, (w, _), (gw, gb) = self._layers[i], caches[i], p_views[i], g_views[i]
-            if i == 0:
-                if layer.w_shape is not None:
-                    layer.param_grads(carry, lc, gw, gb)
-                return None
-            if fragments and isinstance(layer, _MaxPool2x2):
-                carry = layer.fragments_backward(carry, lc)
-            else:
-                carry = layer.backward(carry, lc, w, gw, gb)
+            layer, lc = self._layers[i], caches[i]
+            if layer.w_shape is not None:
+                layer.param_grads(carry, lc, *g_views[i])
+            carry = layer.backward(carry, lc, p_views[i][0]) if i else None
         return carry
 
     def _check_grad_out(self, cache: ForwardCache, grad_out) -> np.ndarray:
@@ -478,27 +468,35 @@ class Network:
         return grads
 
     def forward_trunk(self, image) -> np.ndarray:
-        """Trunk outputs of every patch of an (H, W, C) map, as phase fragments.
-
-        Returns (S * S, h, w, c) fragments, S = ``trunk_stride``: the trunk
-        output of the patch whose top-left corner is (r, c) of ``image`` is
-        the ``trunk_shape`` window at (r // S, c // S) of fragment
-        (r % S) * S + c % S, for r <= H - P and c <= W - P.  Keeps no
-        layer caches, so its working set is a few feature maps.
+        """Trunk outputs of every patch of an (H, W, C) map, as phase
+        fragments for ``trunk_windows``, which reads the patches with
+        top-left corners r <= H - P and c <= W - P.  Keeps no layer
+        caches, so its working set is a few feature maps.
         """
         return self._forward(self._pad_slack(image[None]), range(self._trunk), images=1)
+
+    def trunk_windows(self, fragments, rows, cols) -> np.ndarray:
+        """Trunk outputs of the patches with top-left corners (rows, cols)
+        of the map whose (..., S * S, h, w, c) phase fragments these are.
+
+        With S = ``trunk_stride``, the patch at (r, c) reads the
+        ``trunk_shape`` window at (r // S, c // S) of fragment
+        (r % S) * S + c % S.  Integer arrays give an (..., N) +
+        ``trunk_shape`` copy; Python integers give a view into
+        ``fragments``, through which a gradient can be added back, cut by
+        a plain slice: the neighbourhood passes take nine per step, and a
+        sliding-window view per window costs more than the step's pool.
+        """
+        s, k = self.trunk_stride, self.trunk_shape[0]
+        f, r, c = rows % s * s + cols % s, rows // s, cols // s
+        if isinstance(rows, int):
+            return fragments[..., f, r:r + k, c:c + k, :]
+        view = np.lib.stride_tricks.sliding_window_view(fragments, (k, k), axis=(-3, -2))
+        return np.moveaxis(view, -3, -1)[..., f, r, c, :, :, :]
 
     def forward_head(self, windows) -> np.ndarray:
         """(N, K) class probabilities of (N,) + ``trunk_shape`` trunk outputs."""
         return self._forward(windows, range(self._trunk, len(self._layers)))
-
-    def _neighbour_windows(self):
-        """(fragment, rows, cols) of the trunk output windows of the nine
-        patches of a (P + 2)-square crop, row-major (see ``forward_trunk``)."""
-        s, k = self.trunk_stride, self.trunk_shape[0]
-        for t in range(9):
-            a, b = divmod(t, 3)
-            yield a % s * s + b % s, slice(a // s, a // s + k), slice(b // s, b // s + k)
 
     def forward_neighbourhoods(self, crops) -> tuple[np.ndarray, ForwardCache]:
         """Class probabilities of the 3x3 neighbourhood of patches in each
@@ -513,8 +511,8 @@ class Network:
         fragments = self._forward(self._pad_slack(x), range(self._trunk), caches, len(x))
         fragments = fragments.reshape((len(x), -1) + fragments.shape[1:])
         windows = np.empty((len(x), 9) + self.trunk_shape)
-        for t, (f, rows, cols) in enumerate(self._neighbour_windows()):
-            windows[:, t] = fragments[:, f, rows, cols]
+        for t, corner in enumerate(_NEIGHBOURS):
+            windows[:, t] = self.trunk_windows(fragments, *corner)
         probs = self._forward(windows.reshape((-1,) + self.trunk_shape),
                               range(self._trunk, len(self._layers)), caches)
         return probs, ForwardCache(self._version, probs.shape[0], caches, fragments.shape)
@@ -537,10 +535,11 @@ class Network:
         if windows is not None:
             windows = windows.reshape((-1, 9) + self.trunk_shape)
             fragments = np.zeros(cache.fragments)
-            for t, (f, rows, cols) in enumerate(self._neighbour_windows()):
-                fragments[:, f, rows, cols] += windows[:, t]
+            for t, corner in enumerate(_NEIGHBOURS):
+                window = self.trunk_windows(fragments, *corner)
+                window += windows[:, t]
             self._backward(range(self._trunk), caches,
-                           fragments.reshape((-1,) + cache.fragments[2:]), grads, True)
+                           fragments.reshape((-1,) + cache.fragments[2:]), grads)
         return grads
 
 

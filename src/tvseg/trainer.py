@@ -50,12 +50,12 @@ class TrainConfig:
     architecture: tuple[LayerSpec, ...] | None = None
 
     def __post_init__(self):
-        if self.alpha < 0:
-            raise ValueError("alpha must be non-negative")
-        if self.lr <= 0:
-            raise ValueError("lr must be positive")
-        if self.weight_decay < 0:
-            raise ValueError("weight_decay must be non-negative")
+        if not np.isfinite(self.alpha) or self.alpha < 0:
+            raise ValueError("alpha must be finite and non-negative")
+        if not np.isfinite(self.lr) or self.lr <= 0:
+            raise ValueError("lr must be finite and positive")
+        if not np.isfinite(self.weight_decay) or self.weight_decay < 0:
+            raise ValueError("weight_decay must be finite and non-negative")
         if self.sup_batch < 1:
             raise ValueError("sup_batch must be at least 1")
         if self.unsup_batch < 0:
@@ -302,8 +302,7 @@ def predict_image(net: Network, image) -> np.ndarray:
         raise ValueError(f"image has {img.shape[2]} channels, "
                          f"network expects {net.in_channels}")
     h, w = img.shape[:2]
-    p, s = net.patch_size, net.trunk_stride
-    k = net.trunk_shape[0]
+    p = net.patch_size
     padded = pad_mirror(img, p // 2)
     band = max(1, _BAND_PIXELS // padded.shape[1])
     out = np.empty((h * w, net.num_classes))
@@ -312,13 +311,11 @@ def predict_image(net: Network, image) -> np.ndarray:
     for r0 in range(0, h, band):
         r1 = min(r0 + band, h)
         fragments = net.forward_trunk(padded[r0:r1 + p - 1])
-        windows = np.lib.stride_tricks.sliding_window_view(
-            fragments, (k, k), axis=(1, 2)).transpose(0, 1, 2, 4, 5, 3)
         flat = r0 * w
         while flat < r1 * w:
             take = min(_PREDICT_CHUNK - filled, r1 * w - flat)
             rows, cols = np.divmod(np.arange(flat, flat + take) - r0 * w, w)
-            block[filled:filled + take] = windows[rows % s * s + cols % s, rows // s, cols // s]
+            block[filled:filled + take] = net.trunk_windows(fragments, rows, cols)
             filled += take
             flat += take
             if filled == _PREDICT_CHUNK or flat == h * w:

@@ -369,6 +369,67 @@ def test_non_integer_config_fields_exit_one(workspace, tmp_path, monkeypatch, ca
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
 
 
+@pytest.mark.parametrize("flags", [["--lr", "inf"], ["--lr", "nan"], ["--weight-decay", "nan"],
+                                   ["--alpha", "nan"], ["--alpha", "inf"]],
+                         ids=["lr_inf", "lr_nan", "weight_decay_nan", "alpha_nan", "alpha_inf"])
+def test_non_finite_train_flags_exit_one(workspace, tmp_path, monkeypatch, capsys, flags):
+    # argparse reads these as floats; the config rejects them before any
+    # training, so no checkpoint or manifest holding NaN is written
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps({"architecture": TINY_JSON,
+                                                   "patch_size": 9}))
+    assert main(["train", "--config", "cfg.json", "--iterations", "1",
+                 "--data", str(workspace / "data" / "train"),
+                 "--sparse", str(workspace / "sparse.csv"), "--out", "m.npz"] + flags) == 1
+    assert "must be finite" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+def test_non_finite_experiment_alphas_exit_one(tmp_path, monkeypatch):
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained with a non-finite alpha")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr("tvseg.evaluate.train", no_training)
+    assert main(["experiment", "--out", "e", "--alphas", "0.1,nan"]) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("at, entry", [(0, ["conv3x3", 8.7]), (3, ["dense", True]),
+                                       (3, ["dense", "8"])], ids=["float", "bool", "string"])
+def test_non_integer_architecture_sizes_exit_one(workspace, tmp_path, monkeypatch, capsys,
+                                                 at, entry):
+    # a layer size is a JSON integer: nothing is rounded, cast or trained
+    arch = TINY_JSON[:at] + [entry] + TINY_JSON[at + 1:]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.json").write_text(json.dumps({"architecture": arch, "patch_size": 9,
+                                                   "iterations": 2}))
+    assert main(["train", "--config", "bad.json",
+                 "--data", str(workspace / "data" / "train"),
+                 "--sparse", str(workspace / "sparse.csv"), "--out", "m.npz"]) == 1
+    assert f"{entry[0]} layer size must be an integer" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
+
+
+def test_checkpoint_float_layer_size_exits_one(tmp_path, capsys):
+    specs = tuple(LayerSpec(k, s) for k, s in TINY_JSON)
+    good = tmp_path / "good.npz"
+    save_checkpoint(Network(specs, 9, 2), good)
+    with np.load(good) as data:
+        meta, params = json.loads(bytes(data["meta"])), data["params"]
+    assert meta["specs"][5] == ["dense", 2]
+    meta["specs"][5] = ["dense", 2.0]
+    ckpt = tmp_path / "bad.npz"
+    np.savez(ckpt, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
+             params=params)
+    img = tmp_path / "img.pgm"
+    img.write_bytes(b"P5\n4 3\n255\n" + bytes(range(12)))
+    assert main(["predict", "--checkpoint", str(ckpt), "--image", str(img),
+                 "--out-prefix", str(tmp_path / "out" / "p")]) == 1
+    assert "dense layer size must be an integer" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("config", ['{"mrf_betas": [-1]}', '{"mrf_betas": [1.0, -0.5]}',
                                     '{"mrf_max_iters": 0}'],
                          ids=["negative_beta", "one_bad_beta", "zero_iters"])

@@ -81,6 +81,14 @@ def test_experiment_config_validation():
         _tiny_experiment(train=TrainConfig(num_classes=3, architecture=None))
 
 
+@pytest.mark.parametrize("modes", [("semi_supervised",), ("supervised",)])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_experiment_config_rejects_non_finite_alphas(modes, bad):
+    # also where no semi-supervised run reads them: they reach the manifest
+    with pytest.raises(ValueError, match="alphas must be finite"):
+        _tiny_experiment(modes=modes, alphas=(0.1, bad))
+
+
 # -- the protocol -------------------------------------------------------------
 
 

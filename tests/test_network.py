@@ -124,7 +124,8 @@ def test_batch_backward_matches_single_sum():
 ])
 def test_backward_skips_only_unread_layer0_input_grad(specs, patch):
     # batch_backward leaves out layer 0's input gradient; calling every
-    # layer's backward, that one included, gives the same bits
+    # trainable layer's param_grads and every layer's backward, that one
+    # included, gives the same bits
     rng = np.random.default_rng(14)
     net = Network.init(specs, patch, 2, seed=14)
     _, cache = net.batch_forward(rng.uniform(size=(5, patch, patch, 1)))
@@ -134,7 +135,9 @@ def test_backward_skips_only_unread_layer0_input_grad(specs, patch):
     for layer, lc, (w, _), (gw, gb) in zip(
             reversed(net._layers), reversed(cache.layer_caches),
             reversed(net._views(net.params)), reversed(net._views(expect))):
-        carry = layer.backward(carry, lc, w, gw, gb)
+        if layer.w_shape is not None:
+            layer.param_grads(carry, lc, gw, gb)
+        carry = layer.backward(carry, lc, w)
     assert carry.shape == (5, patch, patch, 1)
     assert net.batch_backward(cache, gout).tobytes() == expect.tobytes()
 
@@ -157,7 +160,8 @@ def test_conv_matches_tensordot_oracle(n, h, w, c, maps, sliced, seed):
     assert y.tobytes() == conv3x3(x, wt, b).tobytes()
     dout = rng.standard_normal(y.shape)
     gw, gb = np.full(wt.shape, np.nan), np.full(maps, np.nan)
-    dx = conv.backward(dout, cache, wt, gw, gb)
+    conv.param_grads(dout, cache, gw, gb)
+    dx = conv.backward(dout, cache, wt)
     expect_gw, expect_gb = conv3x3_param_grads(dout, x)
     assert gw.tobytes() == expect_gw.tobytes()
     assert gb.tobytes() == expect_gb.tobytes()
@@ -176,7 +180,8 @@ def test_pool_matches_argmax_oracle(n, one_image, h, w, c, tie_share, seed):
     # fragments of ``images`` maps (four maps may be the 2 x 2 fragments
     # of one), byte for byte against the argmax pool: on ties of equal
     # values and of +0 and -0 the first maximum wins, sign bit included,
-    # and the gradient goes back to where the maximum came from
+    # and the gradient goes back to where the maximum came from; of the
+    # phases' gradients the first is assigned and the others added
     images, r = (1, 2) if n == 4 and one_image else (n, 1)
     rng = np.random.default_rng(seed)
     x = np.where(rng.uniform(size=(n, h, w, c)) < tie_share,
@@ -187,12 +192,13 @@ def test_pool_matches_argmax_oracle(n, one_image, h, w, c, tie_share, seed):
     expect, idx = maxpool_argmax(x)
     assert y.tobytes() == expect.tobytes()
     dout = rng.choice(np.array([-2.0, -0.0, 0.0, 1.5]), size=y.shape)
-    assert (pool.backward(dout, cache, None, None, None).tobytes()
+    assert (pool.backward(dout, cache, None).tobytes()
             == maxpool_argmax_backward(dout, idx, x.shape).tobytes())
 
-    out, cache = pool.fragments(x, images)
+    out, cache = pool.forward(x, None, None, images)
     ho, wo = (h - 1) // 2, (w - 1) // 2
-    dout = rng.standard_normal(out.shape)
+    dout = np.where(rng.uniform(size=out.shape) < 0.5, rng.choice(_TIES[1:3], size=out.shape),
+                    rng.standard_normal(out.shape))
     phases = out.reshape(images, 2, r, 2, r, ho, wo, c)
     douts = dout.reshape(phases.shape)
     dx = np.zeros_like(x)
@@ -201,9 +207,12 @@ def test_pool_matches_argmax_oracle(n, one_image, h, w, c, tie_share, seed):
         expect, idx = maxpool_argmax(xs)
         assert (phases[:, pr, :, pc].tobytes()
                 == expect.reshape(images, r, r, ho, wo, c).tobytes())
-        dx[:, pr:pr + 2 * ho, pc:pc + 2 * wo] += maxpool_argmax_backward(
-            douts[:, pr, :, pc].reshape(n, ho, wo, c), idx, xs.shape)
-    assert pool.fragments_backward(dout, cache).tobytes() == dx.tobytes()
+        part = maxpool_argmax_backward(douts[:, pr, :, pc].reshape(n, ho, wo, c), idx, xs.shape)
+        if pr or pc:
+            dx[:, pr:pr + 2 * ho, pc:pc + 2 * wo] += part
+        else:
+            dx[:, pr:pr + 2 * ho, pc:pc + 2 * wo] = part
+    assert pool.backward(dout, cache, None).tobytes() == dx.tobytes()
 
 
 @pytest.mark.parametrize("shape", [(1, 9, 8, 1), (2, 12, 13, 3), (4, 7, 7, 8)])
@@ -214,7 +223,7 @@ def test_pool_fragments_max_matches_argmax(shape):
     x = rng.choice(_TIES, size=shape)
     n, h, w, c = shape
     ho, wo = (h - 1) // 2, (w - 1) // 2
-    out, _ = _MaxPool2x2(shape[1:], 0).fragments(x, n)
+    out, _ = _MaxPool2x2(shape[1:], 0).forward(x, None, None, n)
     phases = out.reshape(n, 2, 1, 2, 1, ho, wo, c)
     for pr, pc in ((0, 0), (0, 1), (1, 0), (1, 1)):
         expect, _ = maxpool_argmax(x[:, pr:pr + 2 * ho, pc:pc + 2 * wo])
@@ -229,7 +238,7 @@ def test_relu_backward_masks_by_positive_input():
     for dout in (np.full_like(x, 3.0), np.full_like(x, -3.0), np.array([
             [[[np.inf], [-np.inf]], [[np.nan], [-0.0]]]])):
         with np.errstate(invalid="ignore"):  # inf * 0
-            got = relu.backward(dout, cache, None, None, None)
+            got = relu.backward(dout, cache, None)
             assert got.tobytes() == (dout * (x > 0)).tobytes()
 
 

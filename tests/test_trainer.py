@@ -59,6 +59,13 @@ def test_train_config_validation():
     TrainConfig(unsup_batch=0)
 
 
+@pytest.mark.parametrize("field", ["alpha", "lr", "weight_decay"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_train_config_rejects_non_finite_floats(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        TrainConfig(**{field: value})
+
+
 # -- supervised loss ----------------------------------------------------------
 
 
