@@ -13,7 +13,7 @@ import json
 import math
 import re
 import sys
-from dataclasses import asdict, fields, is_dataclass
+from dataclasses import fields, is_dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -24,15 +24,15 @@ from .data import (SynthConfig, load_dataset, load_image,
                    load_labels, load_prob_map, load_sparse, merge_sparse,
                    sample_sparse_labels, save_dataset, save_labels,
                    save_prob_map, save_sparse, synth_dataset)
-from .errors import NumericalError
-from .evaluate import (ExperimentConfig, emit_table, pixel_error, pooled_error,
+from .errors import NumericalError, check_int
+from .evaluate import (MODES, ExperimentConfig, emit_table, pixel_error, pooled_error,
                        run_experiment)
 from .gradcheck import run_all
 from .mrf import MrfConfig, argmax_labels, icm_smooth
 from .network import load_checkpoint, save_checkpoint, specs_from_json, specs_to_json
 from .pnm import PnmError
 from .rng import ROLE_SPARSE, mix_seed
-from .trainer import TrainConfig, predict_image, train
+from .trainer import SUPERVISED_LOSSES, TrainConfig, predict_image, train
 
 
 def _sha256(path: Path) -> str:
@@ -95,12 +95,6 @@ def _load_config(path) -> dict:
     return obj
 
 
-def _check_int(where: str, value) -> None:
-    """Accept a JSON integer only: a float or true/false raises ValueError."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{where} must be an integer, got {value!r}")
-
-
 def _config(cls, raw, args=None):
     """Build the config dataclass ``cls`` from a JSON object.
 
@@ -124,12 +118,12 @@ def _config(cls, raw, args=None):
     for name, value in values.items():
         where = f"{section} config field {name}"
         if types[name] is int:
-            _check_int(where, value)
+            check_int(where, value)
         elif types[name] == tuple[int, ...]:
             if not isinstance(value, (list, tuple)):
                 raise ValueError(f"{where} must be a list of integers, got {value!r}")
             for item in value:
-                _check_int(f"each entry of {where}", item)
+                check_int(f"each entry of {where}", item)
         if is_dataclass(types[name]):
             values[name] = _config(types[name], value)
         elif name == "architecture" and value is not None:
@@ -178,8 +172,8 @@ def cmd_synth(args) -> int:
         num_train = args.num_train
     if args.num_test is not None:
         num_test = args.num_test
-    _check_int("synth config field num_train", num_train)
-    _check_int("synth config field num_test", num_test)
+    check_int("synth config field num_train", num_train)
+    check_int("synth config field num_test", num_test)
     if num_train < 1 or num_test < 1:
         raise ValueError("num_train and num_test must be at least 1")
     cfg = _config(SynthConfig, raw, args)
@@ -252,7 +246,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_mrf(args) -> int:
-    cfg = MrfConfig(args.beta, args.max_iters)
+    cfg = _config(MrfConfig, {}, args)
     probs_dir = Path(args.probs)
     groups: dict[str, dict[int, Path]] = {}
     for f in sorted(probs_dir.glob("*.pgm")):
@@ -261,15 +255,15 @@ def cmd_mrf(args) -> int:
             groups.setdefault(m.group(1), {})[int(m.group(2))] = f
     if not groups:
         raise ValueError(f"no probability maps (*_class<k>.pgm) found in {probs_dir}")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    for stem in sorted(groups):
-        by_class = groups[stem]
+    for stem, by_class in sorted(groups.items()):  # all checked before any is written
         if sorted(by_class) != list(range(len(by_class))):
             raise ValueError(f"{stem}: class maps must cover 0..K-1, got {sorted(by_class)}")
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    for stem, by_class in sorted(groups.items()):
         probs = load_prob_map([by_class[k] for k in sorted(by_class)])
         save_labels(out / f"{stem}_labels.pgm", icm_smooth(probs, cfg))
-    _write_manifest(out / "manifest.json", "mrf", asdict(cfg), None, [probs_dir])
+    _write_manifest(out / "manifest.json", "mrf", _config_json(cfg), None, [probs_dir])
     print(f"smoothed {len(groups)} probability maps into {out}")
     return 0
 
@@ -375,8 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sup-batch", dest="sup_batch", type=int)
     p.add_argument("--unsup-batch", dest="unsup_batch", type=int)
     p.add_argument("--iterations", type=int)
-    p.add_argument("--supervised-loss", dest="supervised_loss",
-                   choices=("mse", "cross_entropy"))
+    p.add_argument("--supervised-loss", dest="supervised_loss", choices=SUPERVISED_LOSSES)
     p.add_argument("--seed", type=int)
     p.add_argument("--patch-size", dest="patch_size", type=int)
     p.add_argument("--num-classes", dest="num_classes", type=int)
@@ -392,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mrf", help="smooth probability maps with ICM")
     p.add_argument("--probs", required=True, help="directory of *_class<k>.pgm maps")
     p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--max-iters", dest="max_iters", type=int, default=10)
+    p.add_argument("--max-iters", dest="max_iters", type=int)
     p.add_argument("--out", required=True, help="output directory for label PGMs")
     p.set_defaults(func=cmd_mrf)
 
@@ -409,8 +402,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int)
     p.add_argument("--labels-per-image", dest="labels_per_image", type=_int_list,
                    help="comma-separated sizes, e.g. 10,50")
-    p.add_argument("--modes", type=_str_list, help="comma-separated subset of "
-                                   "supervised,mrf_post,semi_supervised")
+    p.add_argument("--modes", type=_str_list,
+                   help="comma-separated subset of " + ",".join(MODES))
     p.add_argument("--alphas", type=_float_list,
                    help="comma-separated smoothness weights")
     p.add_argument("--data-dir", dest="data_dir",

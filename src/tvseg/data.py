@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import check_finite
 from .pnm import PnmError, read_pnm, write_pnm
 from .rng import mix_seed
 
@@ -146,18 +147,15 @@ class SynthConfig:
     def __post_init__(self):
         if self.height < 1 or self.width < 1:
             raise ValueError("degenerate image dimensions")
-        if self.noise_std < 0:
-            raise ValueError("noise_std must be non-negative")
+        check_finite("noise_std", self.noise_std)
         if not 2 <= self.num_classes < UNLABELED:
             raise ValueError(f"num_classes must be in [2, {UNLABELED - 1}]")
         if self.num_shapes < 0:
             raise ValueError("num_shapes must be non-negative")
         if self.channels not in (1, 3):
             raise ValueError("channels must be 1 or 3")
-        if not np.isfinite(self.shade_jitter) or self.shade_jitter < 0:
-            raise ValueError("shade_jitter must be finite and non-negative")
-        if not np.isfinite(self.shade_split) or self.shade_split < 0:
-            raise ValueError("shade_split must be finite and non-negative")
+        check_finite("shade_jitter", self.shade_jitter)
+        check_finite("shade_split", self.shade_split)
         if not 0 <= self.shade_split_prob < 1:
             raise ValueError("shade_split_prob must be in [0, 1)")
 

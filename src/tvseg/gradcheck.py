@@ -17,7 +17,7 @@ import numpy as np
 
 from .network import LayerSpec, Network
 from .rng import make_rng
-from .trainer import _gather, _windows, supervised_grad, unsupervised_grad
+from .trainer import SUPERVISED_LOSSES, _gather, _windows, supervised_grad, unsupervised_grad
 from .tv_loss import tv_grad_image, tv_theta, tv_theta_coeffs, tv_value_image
 
 # row-major forms of the two 3x3 derivative kernels, written out so the
@@ -66,7 +66,7 @@ def check_theta_coeffs(seed: int = 0, count: int = 1000) -> CheckResult:
     done = 0
     while done < count:
         v = rng.uniform(0.0, 1.0, size=9)
-        if abs(v @ _XBAR) < _KINK_MARGIN or abs(v @ _YBAR) < _KINK_MARGIN:
+        if _window_margins(v.reshape(3, 3)) < _KINK_MARGIN:
             continue
         coeffs = tv_theta_coeffs(v)
         for i in range(9):
@@ -161,7 +161,7 @@ def _grad_mismatch(analytic: np.ndarray, fd: np.ndarray) -> tuple[bool, float]:
 def check_supervised_grads(seed: int = 0) -> list[CheckResult]:
     """Whole-network supervised gradients vs central differences."""
     results = []
-    for kind in ("mse", "cross_entropy"):
+    for kind in SUPERVISED_LOSSES:
         rng = make_rng(seed, 105, 0 if kind == "mse" else 1)
         net = _tiny_net(int(rng.integers(0, 2 ** 31)))
         patch = rng.uniform(0.0, 1.0, size=(9, 9, 1))
@@ -195,9 +195,7 @@ def check_unsupervised_grad(seed: int = 0) -> CheckResult:
         patches = _gather(_windows(img, net.patch_size),
                           center[0] + _NB_ROWS, center[1] + _NB_COLS)
         probs, _ = net.batch_forward(patches)
-        margins = [min(abs(probs[:, ch] @ _XBAR), abs(probs[:, ch] @ _YBAR))
-                   for ch in range(2)]
-        if min(margins) < _KINK_MARGIN:
+        if _window_margins(probs.reshape(3, 3, -1)) < _KINK_MARGIN:
             continue
         _, grads = unsupervised_grad(net, img, center)
 

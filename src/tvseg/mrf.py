@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import check_finite
 from .tv_loss import validate_prob_map
 
 _PROB_FLOOR = 1e-12
@@ -24,8 +25,7 @@ class MrfConfig:
     max_iters: int = 10
 
     def __post_init__(self):
-        if not np.isfinite(self.beta) or self.beta < 0:
-            raise ValueError("beta must be finite and non-negative")
+        check_finite("beta", self.beta)
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
 
@@ -50,12 +50,11 @@ def potts_energy(labels: np.ndarray, unary: np.ndarray, beta: float) -> float:
 def icm_smooth(probs: np.ndarray, cfg: MrfConfig) -> np.ndarray:
     """Smooth a probability map into a label image by ICM under a Potts
     prior.  Returns a (H, W) uint8 label array."""
-    probs = validate_prob_map(probs)
-    h, w, k = probs.shape
-    unary = -np.log(np.maximum(probs, _PROB_FLOOR))
-    labels = probs.argmax(axis=2).astype(np.int64)
+    labels = argmax_labels(probs)
     if cfg.beta == 0:
-        return labels.astype(np.uint8)
+        return labels
+    unary = -np.log(np.maximum(np.asarray(probs, dtype=np.float64), _PROB_FLOOR))
+    h, w, k = unary.shape
 
     # scalar Python floats are IEEE doubles: each cost is the unary plus
     # beta added once per disagreeing neighbor, exactly as a float64

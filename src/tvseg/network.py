@@ -50,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import NumericalError, check_finite, check_int
 
 CHECKPOINT_VERSION = 1
 
@@ -62,8 +62,7 @@ class LayerSpec:
     def __post_init__(self):
         if self.kind not in LAYER_KINDS:
             raise ValueError(f"unknown layer kind {self.kind!r}")
-        if isinstance(self.size, bool) or not isinstance(self.size, int):
-            raise ValueError(f"{self.kind} layer size must be an integer, got {self.size!r}")
+        check_int(f"{self.kind} layer size", self.size)
         if issubclass(_LAYERS[self.kind], _Fixed):
             if self.size != 0:
                 raise ValueError(f"{self.kind} layer takes no size, got {self.size}")
@@ -545,10 +544,8 @@ class Network:
 
 def sgd_step(net: Network, grads: np.ndarray, lr: float, weight_decay: float = 0.0) -> Network:
     """In-place update w <- w - lr * (grads + weight_decay * w)."""
-    if lr <= 0:
-        raise ValueError("lr must be positive")
-    if weight_decay < 0:
-        raise ValueError("weight_decay must be non-negative")
+    check_finite("lr", lr, positive=True)
+    check_finite("weight_decay", weight_decay)
     grads = np.asarray(grads, dtype=np.float64)
     if grads.shape != net.params.shape:
         raise ValueError(f"gradient shape {grads.shape} does not match parameters")
@@ -596,16 +593,14 @@ def load_checkpoint(path) -> Network:
     missing = [name for name in _CHECKPOINT_META if name not in meta]
     if missing:
         raise ValueError(f"{path}: checkpoint metadata lacks {', '.join(missing)}")
+    # every field but specs is a JSON integer; a network may have no seed
+    for name in _CHECKPOINT_META:
+        if name != "specs" and (name != "seed" or meta[name] is not None):
+            check_int(f"{path}: checkpoint metadata field {name}", meta[name])
     if meta["version"] != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {meta['version']!r}")
+        raise ValueError(f"{path}: unsupported checkpoint version {meta['version']!r}")
     params = np.array(raw_params, dtype=np.float64)
     if not np.isfinite(params).all():
         raise ValueError(f"{path}: checkpoint holds non-finite parameters")
-    return Network(
-        specs_from_json(meta["specs"]),
-        patch_size=meta["patch_size"],
-        num_classes=meta["num_classes"],
-        in_channels=meta["in_channels"],
-        params=params,
-        seed=meta["seed"],
-    )
+    attrs = {name: meta[name] for name in _CHECKPOINT_META if name not in ("version", "specs")}
+    return Network(specs_from_json(meta["specs"]), params=params, **attrs)

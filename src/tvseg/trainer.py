@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import LabeledImage, SparseLabelSet, pad_mirror
-from .errors import NumericalError
+from .errors import NumericalError, check_finite
 from .network import LayerSpec, Network, default_specs, sgd_step
 from .rng import ROLE_INIT, ROLE_SUP_DRAW, ROLE_UNSUP_DRAW, make_rng, mix_seed
 from .tv_loss import _sobel, _subgradient
@@ -50,12 +50,9 @@ class TrainConfig:
     architecture: tuple[LayerSpec, ...] | None = None
 
     def __post_init__(self):
-        if not np.isfinite(self.alpha) or self.alpha < 0:
-            raise ValueError("alpha must be finite and non-negative")
-        if not np.isfinite(self.lr) or self.lr <= 0:
-            raise ValueError("lr must be finite and positive")
-        if not np.isfinite(self.weight_decay) or self.weight_decay < 0:
-            raise ValueError("weight_decay must be finite and non-negative")
+        check_finite("alpha", self.alpha)
+        check_finite("lr", self.lr, positive=True)
+        check_finite("weight_decay", self.weight_decay)
         if self.sup_batch < 1:
             raise ValueError("sup_batch must be at least 1")
         if self.unsup_batch < 0:

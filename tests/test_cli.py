@@ -1,5 +1,6 @@
 """End-to-end command-line workflows and exit codes."""
 
+import argparse
 import io
 import json
 import os
@@ -14,11 +15,12 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import tvseg
 from tvseg.cli import _config, _config_json, _load_config, build_parser, main
-from tvseg.data import UNLABELED, SynthConfig, load_labels, save_labels
-from tvseg.evaluate import ExperimentConfig, parse_table
+from tvseg.data import UNLABELED, SynthConfig, load_dataset, load_labels, save_labels
+from tvseg.evaluate import ExperimentConfig, emit_table, parse_table, run_experiment
+from tvseg.mrf import MrfConfig
 from tvseg.network import LAYER_KINDS, LayerSpec, Network, save_checkpoint
-from tvseg.pnm import read_pnm
-from tvseg.trainer import TrainConfig
+from tvseg.pnm import read_pnm, write_pnm
+from tvseg.trainer import SUPERVISED_LOSSES, TrainConfig
 
 TINY_JSON = [["conv3x3", 2], ["relu", 0], ["maxpool2x2", 0],
              ["dense", 8], ["relu", 0], ["dense", 2], ["softmax", 0]]
@@ -335,6 +337,16 @@ def test_synth_counts_below_one_exit_one(tmp_path, monkeypatch, flags, config):
     assert sorted(p.name for p in tmp_path.iterdir()) == (["bad.json"] if config else [])
 
 
+@pytest.mark.parametrize("noise", ["nan", "inf"])
+def test_synth_non_finite_noise_exits_one(tmp_path, monkeypatch, capsys, noise):
+    # NaN noise would leave the images clean and infinite noise would
+    # saturate every pixel; both are rejected before anything is written
+    monkeypatch.chdir(tmp_path)
+    assert main(["synth", "--out", "d", "--noise-std", noise]) == 1
+    assert "noise_std must be finite" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("command, config, field", [
     ("synth", '{"num_train": 1.7}', "num_train"),
     ("synth", '{"num_test": true}', "num_test"),
@@ -444,16 +456,29 @@ def test_experiment_rejects_mrf_settings_before_training(tmp_path, monkeypatch, 
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
 
 
-@pytest.mark.parametrize("field", ["version", "specs", "patch_size", "num_classes",
-                                   "in_channels", "seed"])
-def test_checkpoint_missing_metadata_field_exits_one(tmp_path, capsys, field):
+_MISSING = object()
+_BAD_META = [(field, _MISSING) for field in ("version", "specs", "patch_size", "num_classes",
+                                             "in_channels", "seed")]
+_BAD_META += [("version", True), ("version", 2), ("patch_size", 9.0), ("num_classes", 2.0),
+              ("in_channels", True), ("seed", "x"), ("seed", 1.5)]
+
+
+@pytest.mark.parametrize("field, value", _BAD_META, ids=[
+    f if v is _MISSING else f"{f}={v!r}" for f, v in _BAD_META])
+def test_checkpoint_missing_metadata_field_exits_one(tmp_path, capsys, field, value):
+    # a missing field, one that is not a JSON integer, or an unknown
+    # version is named with the file and nothing is written; true, 9.0
+    # and 2.0 equal the values they replace, so only the type stops them
     specs = tuple(LayerSpec(k, s) for k, s in TINY_JSON)
     good = tmp_path / "good.npz"
     save_checkpoint(Network(specs, 9, 2), good)
     with np.load(good) as data:
         meta, params = json.loads(bytes(data["meta"])), data["params"]
     assert field in meta
-    del meta[field]
+    if value is _MISSING:
+        del meta[field]
+    else:
+        meta[field] = value
     ckpt = tmp_path / "bad.npz"
     np.savez(ckpt, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
              params=params)
@@ -508,6 +533,126 @@ def test_experiment_command(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["resolved_config"]["trials"] == 1
     assert manifest["resolved_config"]["train"]["patch_size"] == 9
+
+
+def test_experiment_data_dir(tmp_path):
+    # the protocol on a dataset read from disk equals the protocol on the
+    # same images passed in memory, and the manifest digests every file
+    data = tmp_path / "data"
+    assert main(["synth", "--out", str(data), "--height", "20", "--width", "20",
+                 "--num-shapes", "3", "--seed", "6",
+                 "--num-train", "2", "--num-test", "2"]) == 0
+    cfg = {"labels_per_image": [4], "trials": 1, "alphas": [0.1], "mrf_betas": [1.0],
+           "train": {"iterations": 10, "patch_size": 9, "architecture": TINY_JSON}}
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "exp"
+    assert main(["experiment", "--config", str(cfg_path), "--out", str(out),
+                 "--data-dir", str(data)]) == 0
+    expected = tmp_path / "expected.csv"
+    emit_table(run_experiment(_config(ExperimentConfig, dict(cfg, data_dir=str(data))),
+                              load_dataset(data / "train"), load_dataset(data / "test")),
+               expected)
+    assert (out / "results.csv").read_bytes() == expected.read_bytes()
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["resolved_config"]["data_dir"] == str(data)
+    files = {str(f) for f in data.rglob("*") if f.is_file()}
+    assert len(files) == 9  # 4 images, 4 label maps and the synth manifest
+    assert set(manifest["input_digests"]) == files | {str(cfg_path)}
+
+
+def _probs_dir(root, classes_by_stem):
+    root.mkdir()
+    probs = np.full((4, 5, 3), 1 / 3)
+    for stem, classes in classes_by_stem.items():
+        for k in classes:
+            write_pnm(root / f"{stem}_class{k}.pgm",
+                      np.rint(probs[:, :, k] * 65535).astype(np.uint16), 65535)
+
+
+def _labels_dir(root, stems):
+    root.mkdir()
+    for stem in stems:
+        save_labels(root / f"{stem}.pgm", np.zeros((4, 5), dtype=np.uint8))
+
+
+# each command's input holds nothing it can work on; the message names
+# the problem and no output is made
+_EMPTY_INPUTS = {
+    "sample_no_pgm": (lambda d: (d / "in").mkdir(),
+                      ["sample", "--labels", "in", "--n", "1", "--out", "out/s.csv"],
+                      "no label images"),
+    "mrf_no_class_maps": (lambda d: _labels_dir(d / "in", ["a"]),
+                          ["mrf", "--probs", "in", "--beta", "1", "--out", "out"],
+                          "no probability maps"),
+    "mrf_class_gap": (lambda d: _probs_dir(d / "in", {"a": [0, 1], "b": [0, 2]}),
+                      ["mrf", "--probs", "in", "--beta", "1", "--out", "out"],
+                      "b: class maps must cover 0..K-1, got [0, 2]"),
+    "eval_no_common_stems": (lambda d: (_labels_dir(d / "in", ["a_labels"]),
+                                        _labels_dir(d / "truth", ["b"])),
+                             ["eval", "--pred", "in", "--truth", "truth", "--out", "out/e.csv"],
+                             "no matching label images"),
+    "config_array": (lambda d: (d / "in").write_text("[1, 2]"),
+                     ["synth", "--config", "in", "--out", "out"], "must hold a JSON object"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_EMPTY_INPUTS))
+def test_inputs_without_work_exit_one(tmp_path, monkeypatch, capsys, case):
+    setup, argv, message = _EMPTY_INPUTS[case]
+    monkeypatch.chdir(tmp_path)
+    setup(tmp_path)
+    made = sorted(tmp_path.rglob("*"))
+    assert main(argv) == 1
+    assert message in capsys.readouterr().err
+    assert sorted(tmp_path.rglob("*")) == made
+
+
+def _option(action) -> str:
+    text = action.option_strings[0]
+    if action.required:
+        text += "!"
+    if action.default is not None:
+        text += f"={action.default}"
+    return text
+
+
+# every option of every subcommand: "!" marks a required one and "=v" a
+# default; each config field's default lives in its config class alone
+CLI_SURFACE = {
+    "synth": "--config --out! --height --width --num-shapes --noise-std --num-classes "
+             "--seed --shade-split --shade-split-prob --shade-jitter --num-train --num-test",
+    "sample": "--labels! --n! --seed=0 --out!",
+    "train": "--config --data! --sparse! --out! --report --alpha --lr --weight-decay "
+             "--sup-batch --unsup-batch --iterations --supervised-loss --seed "
+             "--patch-size --num-classes",
+    "predict": "--checkpoint! --image! --out-prefix!",
+    "mrf": "--probs! --beta! --max-iters --out!",
+    "eval": "--pred! --truth! --out!",
+    "experiment": "--config --out! --master-seed --trials --labels-per-image --modes "
+                  "--alphas --data-dir",
+    "gradcheck": "--seed=0",
+}
+
+
+def test_cli_surface(tmp_path):
+    parser = build_parser()
+    commands = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    assert sorted(commands) == sorted(CLI_SURFACE)
+    choices = {}
+    for name, sub in commands.items():
+        actions = [a for a in sub._actions if not isinstance(a, argparse._HelpAction)]
+        assert " ".join(_option(a) for a in actions) == CLI_SURFACE[name], name
+        choices.update({f"{name} {a.dest}": a.choices for a in actions if a.choices})
+    assert choices == {"train supervised_loss": SUPERVISED_LOSSES}
+    assert MrfConfig().max_iters == 10
+    # mrf without --max-iters records the config class's default
+    _probs_dir(tmp_path / "probs", {"a": [0, 1, 2]})
+    assert main(["mrf", "--probs", str(tmp_path / "probs"), "--beta", "0.5",
+                 "--out", str(tmp_path / "out")]) == 0
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["resolved_config"] == {"beta": 0.5, "max_iters": 10}
 
 
 @pytest.mark.parametrize("n", ["0", "-2"])

@@ -283,6 +283,36 @@ def test_pnm_malformed(tmp_path):
         write_pnm(tmp_path / "x.pgm", np.zeros((2, 2), dtype=np.int64) - 1, 255)
 
 
+_BAD_READS = {
+    "truncated header": b"P5\n2 2",
+    "bad header token": b"P5\n2 x\n255\n\x00\x00\x00\x00",
+    "missing whitespace after header": b"P5\n2 2\n255",
+    "bad dimensions": b"P5\n0 2\n255\n",
+    "bad maxval": b"P5\n2 2\n0\n\x00\x00\x00\x00",
+    "sample value exceeds maxval": b"P5\n2 1\n3\n\x00\x04",
+}
+_BAD_WRITES = {
+    "bad maxval": (np.zeros((2, 2), dtype=np.uint16), 65536),
+    "cannot encode shape": (np.zeros((2, 2, 2), dtype=np.uint8), 255),
+    "16-bit PPM not supported": (np.zeros((2, 2, 3), dtype=np.uint16), 65535),
+    "samples must be integers": (np.zeros((2, 2)), 255),
+}
+
+
+@pytest.mark.parametrize("op, message", [("read", m) for m in _BAD_READS]
+                         + [("write", m) for m in _BAD_WRITES])
+def test_pnm_rejects_each_malformed_input(tmp_path, op, message):
+    path = tmp_path / "x.pnm"
+    if op == "read":
+        path.write_bytes(_BAD_READS[message])
+        with pytest.raises(PnmError, match=message):
+            read_pnm(path)
+    else:
+        with pytest.raises(PnmError, match=message):
+            write_pnm(path, *_BAD_WRITES[message])
+        assert not path.exists()
+
+
 def test_image_roundtrip_8bit(tmp_path):
     rng = np.random.default_rng(3)
     img = np.rint(rng.uniform(size=(5, 6, 1)) * 255) / 255.0

@@ -16,7 +16,7 @@ from tvseg import trainer
 from tvseg.data import LabeledImage, SparseLabelSet, SynthConfig, merge_sparse, \
     sample_sparse_labels, synth_dataset
 from tvseg.gradcheck import _NB_COLS, _NB_ROWS
-from tvseg.network import LayerSpec, Network, default_specs
+from tvseg.network import LayerSpec, Network, default_specs, sgd_step
 from tvseg.trainer import (TrainConfig, predict_image, supervised_grad, train,
                            unsupervised_grad, _PREDICT_CHUNK, _gather,
                            _loss_and_grad_out, _windows)
@@ -64,6 +64,14 @@ def test_train_config_validation():
 def test_train_config_rejects_non_finite_floats(field, value):
     with pytest.raises(ValueError, match=f"{field} must be finite"):
         TrainConfig(**{field: value})
+    if field == "alpha":
+        return
+    # sgd_step applies the same rule before it touches a parameter
+    net = Network.init(TINY, 9, 2, seed=1)
+    before = net.params.tobytes()
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        sgd_step(net, np.ones_like(net.params), **{"lr": 0.1, field: value})
+    assert net.params.tobytes() == before
 
 
 # -- supervised loss ----------------------------------------------------------
