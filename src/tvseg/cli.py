@@ -127,7 +127,7 @@ def _config(cls, raw, args=None):
         if is_dataclass(types[name]):
             values[name] = _config(types[name], value)
         elif name == "architecture" and value is not None:
-            values[name] = specs_from_json(value)
+            values[name] = specs_from_json(value, where)
         elif isinstance(value, list):
             values[name] = tuple(value)
     return cls(**values)
@@ -258,11 +258,12 @@ def cmd_mrf(args) -> int:
     for stem, by_class in sorted(groups.items()):  # all checked before any is written
         if sorted(by_class) != list(range(len(by_class))):
             raise ValueError(f"{stem}: class maps must cover 0..K-1, got {sorted(by_class)}")
+    labels = {stem: icm_smooth(load_prob_map([by_class[k] for k in sorted(by_class)]), cfg)
+              for stem, by_class in sorted(groups.items())}
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    for stem, by_class in sorted(groups.items()):
-        probs = load_prob_map([by_class[k] for k in sorted(by_class)])
-        save_labels(out / f"{stem}_labels.pgm", icm_smooth(probs, cfg))
+    for stem, label_map in labels.items():
+        save_labels(out / f"{stem}_labels.pgm", label_map)
     _write_manifest(out / "manifest.json", "mrf", _config_json(cfg), None, [probs_dir])
     print(f"smoothed {len(groups)} probability maps into {out}")
     return 0

@@ -17,7 +17,7 @@ import numpy as np
 
 from .network import LayerSpec, Network
 from .rng import make_rng
-from .trainer import SUPERVISED_LOSSES, _gather, _windows, supervised_grad, unsupervised_grad
+from .trainer import SUPERVISED_LOSSES, _cut, _windows, supervised_grad, unsupervised_grad
 from .tv_loss import tv_grad_image, tv_theta, tv_theta_coeffs, tv_value_image
 
 # row-major forms of the two 3x3 derivative kernels, written out so the
@@ -192,8 +192,8 @@ def check_unsupervised_grad(seed: int = 0) -> CheckResult:
         net = _tiny_net(int(rng.integers(0, 2 ** 31)))
         img = rng.uniform(0.0, 1.0, size=(12, 12, 1))
         center = (int(rng.integers(1, 11)), int(rng.integers(1, 11)))
-        patches = _gather(_windows(img, net.patch_size),
-                          center[0] + _NB_ROWS, center[1] + _NB_COLS)
+        patches = _cut([_windows(img, net.patch_size)], [0] * 9,
+                       center[0] + _NB_ROWS, center[1] + _NB_COLS)
         probs, _ = net.batch_forward(patches)
         if _window_margins(probs.reshape(3, 3, -1)) < _KINK_MARGIN:
             continue

@@ -2,8 +2,9 @@
 
 The network maps a (patch, patch, channels) image window to a length-K
 probability vector.  Parameters live in one flat float64 vector; each
-trainable layer holds reshaped views into it, so in-place SGD updates
-are visible everywhere.  All math is float64 and deterministic.
+trainable layer holds views into its own slice of it, so ``params`` is
+updated in place and cannot be rebound.  All math is float64 and
+deterministic.
 
 Layer kinds: ``conv3x3`` (valid padding, stride 1), ``relu``,
 ``maxpool2x2`` (stride 2, trailing odd row/column dropped), ``dense``,
@@ -63,11 +64,11 @@ class LayerSpec:
         if self.kind not in LAYER_KINDS:
             raise ValueError(f"unknown layer kind {self.kind!r}")
         check_int(f"{self.kind} layer size", self.size)
-        if issubclass(_LAYERS[self.kind], _Fixed):
-            if self.size != 0:
-                raise ValueError(f"{self.kind} layer takes no size, got {self.size}")
-        elif self.size < 1:
-            raise ValueError(f"{self.kind} layer needs a positive size")
+        if issubclass(_LAYERS[self.kind], _Trainable):
+            if self.size < 1:
+                raise ValueError(f"{self.kind} layer needs a positive size")
+        elif self.size != 0:
+            raise ValueError(f"{self.kind} layer takes no size, got {self.size}")
 
 
 def default_specs(num_classes: int) -> tuple[LayerSpec, ...]:
@@ -89,12 +90,16 @@ def specs_to_json(specs) -> list:
     return [[s.kind, s.size] for s in specs]
 
 
-def specs_from_json(obj) -> tuple[LayerSpec, ...]:
-    out = []
-    for entry in obj:
-        kind, size = (entry, 0) if isinstance(entry, str) else entry
-        out.append(LayerSpec(kind, size))
-    return tuple(out)
+def specs_from_json(obj, where: str = "specs") -> tuple[LayerSpec, ...]:
+    """Specs from a JSON list of kinds and [kind, size] pairs; anything
+    else raises ValueError naming ``where``."""
+    if not (isinstance(obj, list) and all(
+            isinstance(e, str) or isinstance(e, list) and len(e) == 2 for e in obj)):
+        raise ValueError(f"{where} must be a list of kinds and [kind, size] pairs, got {obj!r}")
+    try:
+        return tuple(LayerSpec(e) if isinstance(e, str) else LayerSpec(*e) for e in obj)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -106,12 +111,17 @@ def specs_from_json(obj) -> tuple[LayerSpec, ...]:
 # patches and on whole feature maps alike.
 
 
-class _Fixed:
-    """Base of the layers without parameters; their specs carry no size."""
-    w_shape = None
+class _Trainable:
+    """Base of the layers with parameters (the others' specs carry no size);
+    Network sets ``at``, their flat-vector slice, and ``w, b = split(params)``."""
+
+    def split(self, vec):
+        """The layer's (weights, biases) views into a flat vector."""
+        part, units = vec[self.at], self.w_shape[-1]
+        return part[:-units].reshape(self.w_shape), part[-units:]
 
 
-class _Conv3x3:
+class _Conv3x3(_Trainable):
     """Valid 3x3 convolution as nine 2-D products, one per kernel tap.
 
     Each ``np.dot`` gets the operands ``np.tensordot`` would build for
@@ -128,13 +138,13 @@ class _Conv3x3:
         self.out_shape = (h - 2, w - 2, maps)
         self.w_shape = (3, 3, c, maps)
 
-    def forward(self, x, w, b, images=0):
+    def forward(self, x, images=0):
         n, ho, wo, c = x.shape[0], x.shape[1] - 2, x.shape[2] - 2, x.shape[3]
-        y = np.broadcast_to(b, (n, ho, wo, b.size)).copy()
-        rows = y.reshape(-1, b.size)
+        y = np.broadcast_to(self.b, (n, ho, wo, self.b.size)).copy()
+        rows = y.reshape(-1, self.b.size)
         for i in range(3):
             for j in range(3):
-                rows += np.dot(x[:, i:i + ho, j:j + wo, :].reshape(-1, c), w[i, j])
+                rows += np.dot(x[:, i:i + ho, j:j + wo, :].reshape(-1, c), self.w[i, j])
         return y, x
 
     def param_grads(self, dout, cache, gw, gb):
@@ -148,25 +158,25 @@ class _Conv3x3:
                 taps = x[:, i:i + ho, j:j + wo, :].transpose(3, 0, 1, 2)
                 gw[i, j] = np.dot(taps.reshape(c, -1), d)
 
-    def backward(self, dout, cache, w):
+    def backward(self, dout, cache):
         n, ho, wo, maps = dout.shape
         d = dout.reshape(-1, maps)
         dx = np.zeros_like(cache)
         for i in range(3):
             for j in range(3):
-                dx[:, i:i + ho, j:j + wo, :] += np.dot(d, w[i, j].T).reshape(n, ho, wo, -1)
+                dx[:, i:i + ho, j:j + wo, :] += np.dot(d, self.w[i, j].T).reshape(n, ho, wo, -1)
         return dx
 
 
-class _ReLU(_Fixed):
+class _ReLU:
     def __init__(self, in_shape, size):
         self.out_shape = in_shape
 
-    def forward(self, x, w, b, images=0):
+    def forward(self, x, images=0):
         y = np.maximum(x, 0.0)
         return y, y
 
-    def backward(self, dout, cache, w):
+    def backward(self, dout, cache):
         return dout * (cache > 0.0)
 
 
@@ -175,14 +185,14 @@ class _ReLU(_Fixed):
 _PHASES = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
-class _MaxPool2x2(_Fixed):
+class _MaxPool2x2:
     def __init__(self, in_shape, size):
         h, w, c = in_shape
         if h < 2 or w < 2:
             raise ValueError(f"maxpool2x2 input {h}x{w} smaller than window")
         self.out_shape = (h // 2, w // 2, c)
 
-    def forward(self, x, w, b, images=0):
+    def forward(self, x, images=0):
         """Max over the 2x2 windows of a patch batch, or of every phase of
         the R x R phase fragments of ``images`` maps.
 
@@ -205,7 +215,7 @@ class _MaxPool2x2(_Fixed):
             y[:, pr, :, pc] = m.reshape(images, r, r, ho, wo, c)
         return y.reshape(-1, ho, wo, c), (x, y)
 
-    def backward(self, dout, cache, w):
+    def backward(self, dout, cache):
         """Input gradient: each phase's gradient unpooled into the
         positions it read.  The first phase is assigned and the others
         added, so the one phase of a patch batch keeps its signed zeros."""
@@ -252,37 +262,37 @@ def _unpool(dout, x, y):
     return dx
 
 
-class _Dense:
+class _Dense(_Trainable):
     def __init__(self, in_shape, units):
         self.in_shape = in_shape
         self.out_shape = (units,)
         self.w_shape = (math.prod(in_shape), units)
 
-    def forward(self, x, w, b, images=0):
+    def forward(self, x, images=0):
         xf = x.reshape(x.shape[0], -1)
-        return xf @ w + b, xf
+        return xf @ self.w + self.b, xf
 
     def param_grads(self, dout, cache, gw, gb):
         gw[:] = cache.T @ dout
         gb[:] = dout.sum(axis=0)
 
-    def backward(self, dout, cache, w):
-        return (dout @ w.T).reshape((dout.shape[0],) + self.in_shape)
+    def backward(self, dout, cache):
+        return (dout @ self.w.T).reshape((dout.shape[0],) + self.in_shape)
 
 
-class _Softmax(_Fixed):
+class _Softmax:
     def __init__(self, in_shape, size):
         if len(in_shape) != 1:
             raise ValueError("softmax input must be a flat vector; add a dense layer first")
         self.out_shape = in_shape
 
-    def forward(self, x, w, b, images=0):
+    def forward(self, x, images=0):
         z = x - x.max(axis=1, keepdims=True)
         e = np.exp(z)
         p = e / e.sum(axis=1, keepdims=True)
         return p, p
 
-    def backward(self, dout, cache, w):
+    def backward(self, dout, cache):
         p = cache
         return p * (dout - (dout * p).sum(axis=1, keepdims=True))
 
@@ -331,23 +341,17 @@ class Network:
         self.in_channels = in_channels
         self.seed = seed
 
-        # the flat vector holds, per trainable layer, its weights then its
-        # biases; _slots keeps each layer's (weight slice, bias slice,
-        # He fan-in), or None for a fixed layer
+        # the flat vector holds the trainable layers' slices in spec order
         shape = (patch_size, patch_size, in_channels)
         self._layers = []
-        self._slots = []
         total = 0
         for spec in specs:
             layer = _LAYERS[spec.kind](shape, spec.size)
-            slot = None
-            if layer.w_shape is not None:
-                fan_in, units = math.prod(layer.w_shape[:-1]), layer.w_shape[-1]
-                w_end = total + fan_in * units
-                slot = (slice(total, w_end), slice(w_end, w_end + units), fan_in)
-                total = w_end + units
+            if isinstance(layer, _Trainable):
+                size = math.prod(layer.w_shape) + layer.w_shape[-1]
+                layer.at = slice(total, total + size)
+                total += size
             self._layers.append(layer)
-            self._slots.append(slot)
             shape = layer.out_shape
         if shape != (num_classes,):
             raise ValueError(
@@ -367,21 +371,28 @@ class Network:
         if params is None:
             params = np.zeros(total)
         else:
-            params = np.asarray(params, dtype=np.float64)
+            params = np.ascontiguousarray(params, dtype=np.float64)
             if params.shape != (total,):
                 raise ValueError(f"expected {total} parameters, got {params.shape}")
-        self.params = params
+        self._params = params
+        for layer in self._layers:
+            if isinstance(layer, _Trainable):
+                layer.w, layer.b = layer.split(params)
         self._version = 0
+
+    def __reduce__(self):
+        # copies and pickles are rebuilt here, so their layers view their own params
+        return type(self), (self.specs, self.patch_size, self.num_classes,
+                            self.in_channels, self.params, self.seed)
+
+    @property
+    def params(self) -> np.ndarray:
+        """The flat parameter vector, updated in place and never rebound."""
+        return self._params
 
     @property
     def num_params(self) -> int:
         return self.params.size
-
-    def _views(self, vec):
-        """Per-layer (w, b) views into a flat vector; None for fixed layers."""
-        return [(None, None) if slot is None else
-                (vec[slot[0]].reshape(layer.w_shape), vec[slot[1]])
-                for layer, slot in zip(self._layers, self._slots)]
 
     @classmethod
     def init(cls, specs, patch_size: int, num_classes: int, seed: int,
@@ -389,9 +400,10 @@ class Network:
         """He fan-in initialization: w ~ N(0, sqrt(2/fan_in)), zero biases."""
         net = cls(specs, patch_size, num_classes, in_channels, seed=seed)
         rng = np.random.default_rng(seed)
-        for layer, slot, (w, _) in zip(net._layers, net._slots, net._views(net.params)):
-            if slot is not None:
-                w[:] = rng.normal(0.0, np.sqrt(2.0 / slot[2]), size=layer.w_shape)
+        for layer in net._layers:
+            if isinstance(layer, _Trainable):
+                fan_in = math.prod(layer.w_shape[:-1])
+                layer.w[:] = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=layer.w_shape)
         return net
 
     # -- forward / backward -------------------------------------------------
@@ -410,9 +422,8 @@ class Network:
         maps and every pool splits them further.  Each layer's cache is
         appended to ``caches`` unless it is None.
         """
-        views = self._views(self.params)
         for i in layers:
-            x, cache = self._layers[i].forward(x, *views[i], images)
+            x, cache = self._layers[i].forward(x, images)
             if caches is not None:
                 caches.append(cache)
             del cache  # a pool's cache holds its input; a cache-free pass drops it here
@@ -433,12 +444,11 @@ class Network:
         Nothing reads the input gradient of layer 0, so there only the
         parameter gradients are computed, and None is returned.
         """
-        p_views, g_views = self._views(self.params), self._views(grads)
         for i in reversed(layers):
             layer, lc = self._layers[i], caches[i]
-            if layer.w_shape is not None:
-                layer.param_grads(carry, lc, *g_views[i])
-            carry = layer.backward(carry, lc, p_views[i][0]) if i else None
+            if isinstance(layer, _Trainable):
+                layer.param_grads(carry, lc, *layer.split(grads))
+            carry = layer.backward(carry, lc) if i else None
         return carry
 
     def _check_grad_out(self, cache: ForwardCache, grad_out) -> np.ndarray:
@@ -551,10 +561,8 @@ def sgd_step(net: Network, grads: np.ndarray, lr: float, weight_decay: float = 0
         raise ValueError(f"gradient shape {grads.shape} does not match parameters")
     if not np.isfinite(grads).all():
         raise NumericalError("non-finite gradients in sgd_step")
-    if weight_decay:
-        net.params -= lr * (grads + weight_decay * net.params)
-    else:
-        net.params -= lr * grads
+    params = net.params
+    params -= lr * (grads + weight_decay * params)
     net._version += 1
     return net
 
@@ -583,7 +591,7 @@ def load_checkpoint(path) -> Network:
     whose metadata or parameters are invalid raises ValueError.
     """
     try:
-        with np.load(path, allow_pickle=False) as data:
+        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as data:
             raw_meta, raw_params = bytes(data["meta"]), data["params"]
     except (zipfile.BadZipFile, EOFError, ValueError) as exc:
         raise OSError(f"{path}: unreadable checkpoint: {exc}") from exc
@@ -603,4 +611,5 @@ def load_checkpoint(path) -> Network:
     if not np.isfinite(params).all():
         raise ValueError(f"{path}: checkpoint holds non-finite parameters")
     attrs = {name: meta[name] for name in _CHECKPOINT_META if name not in ("version", "specs")}
-    return Network(specs_from_json(meta["specs"]), params=params, **attrs)
+    specs = specs_from_json(meta["specs"], f"{path}: checkpoint metadata field specs")
+    return Network(specs, params=params, **attrs)

@@ -111,26 +111,16 @@ def _windows(image, size: int) -> np.ndarray:
     ``size`` is odd.  The view's first two axes are the H x W pixels; its
     window at (r, c) is the ``size``-square window centered on pixel
     (r, c): a patch for ``size`` P, the crop of the neighborhood of (r, c)
-    for P + 2.  Cut them with ``_gather``.
+    for P + 2.  Cut them with ``_cut``.
     """
     padded = pad_mirror(_image_array(image), size // 2)
     return np.lib.stride_tricks.sliding_window_view(padded, (size, size), axis=(0, 1))
 
 
-def _gather(windows: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """(N, size, size, C) windows centered at the pixels (rows[i], cols[i])."""
-    return windows.transpose(0, 1, 3, 4, 2)[rows, cols]
-
-
-def _cut(windows: list, which: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """(N, size, size, C) windows centered at (rows[i], cols[i]) of image
-    ``which[i]``, with one ``_gather`` per image present."""
-    _, _, c, size, _ = windows[0].shape
-    out = np.empty((len(which), size, size, c))
-    for k in dict.fromkeys(which.tolist()):
-        at = which == k
-        out[at] = _gather(windows[k], rows[at], cols[at])
-    return out
+def _cut(windows, which, rows, cols) -> np.ndarray:
+    """(N, size, size, C) windows centered at (rows[i], cols[i]) of the
+    image whose ``_windows`` view is ``windows[which[i]]``."""
+    return np.stack([windows[k][r, c].transpose(1, 2, 0) for k, r, c in zip(which, rows, cols)])
 
 
 def _supervised_step(net: Network, patches: np.ndarray, labels: np.ndarray,
@@ -183,7 +173,7 @@ def unsupervised_grad(net: Network, image, center: tuple[int, int]) -> tuple[flo
     r, c = center
     if not (1 <= r < h - 1 and 1 <= c < w - 1):
         raise ValueError(f"center {center} must be at least 1 pixel inside a {h}x{w} image")
-    return _tv_step(net, _gather(windows, np.array([r]), np.array([c])), 1.0)
+    return _tv_step(net, _cut([windows], [0], [r], [c]), 1.0)
 
 
 def _check_sparse(images: dict[str, LabeledImage], sparse: SparseLabelSet,
@@ -221,10 +211,9 @@ def train(images: dict[str, LabeledImage], sparse: SparseLabelSet,
                            in_channels=channels.pop())
 
     # supervised samples are a fixed small set: cut their patches once
-    index = {name: k for k, name in enumerate(images)}
     names, rows, cols, classes = zip(*sparse.entries)
-    sup_patches = _cut([_windows(li, net.patch_size) for li in images.values()],
-                       np.array([index[n] for n in names]), np.array(rows), np.array(cols))
+    sup_patches = _cut({name: _windows(li, net.patch_size) for name, li in images.items()},
+                       names, rows, cols)
     sup_labels = np.array(classes, dtype=np.int64)
 
     # flat index space over the interior pixels of every image, for unsup

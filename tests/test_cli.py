@@ -357,12 +357,20 @@ def test_synth_non_finite_noise_exits_one(tmp_path, monkeypatch, capsys, noise):
     ("experiment", '{"labels_per_image": 3}', "labels_per_image"),
     ("experiment", '{"train": {"iterations": true}}', "iterations"),
     ("experiment", '{"synth": {"num_shapes": 2.0}}', "num_shapes"),
+    ("train", '{"architecture": 5}', "architecture"),
+    ("train", '{"architecture": [["dense", 2, 9]]}', "architecture"),
+    ("train", '{"architecture": [null]}', "architecture"),
+    ("train", '{"architecture": "relu"}', "architecture"),
+    ("train", '{"architecture": {"a": 1}}', "architecture"),
 ], ids=["synth_float_count", "synth_bool_count", "synth_float_field", "train_float",
         "train_bool", "experiment_float_entry", "experiment_bare_int",
-        "experiment_train_bool", "experiment_synth_float"])
+        "experiment_train_bool", "experiment_synth_float", "train_architecture_int",
+        "train_architecture_triple", "train_architecture_null", "train_architecture_string",
+        "train_architecture_object"])
 def test_non_integer_config_fields_exit_one(workspace, tmp_path, monkeypatch, capsys,
                                             command, config, field):
-    # integer fields take JSON integers only; the field is named, and
+    # integer fields take JSON integers only, and an architecture only a
+    # list of kinds and [kind, size] pairs; the field is named, and
     # nothing is written or trained
     def no_training(*args, **kwargs):
         raise AssertionError("trained on a non-integer config field")
@@ -370,8 +378,8 @@ def test_non_integer_config_fields_exit_one(workspace, tmp_path, monkeypatch, ca
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr("tvseg.evaluate.train", no_training)
     if command == "train":  # valid but for the field, so only the check stops it
-        config = json.dumps(dict(json.loads(config), architecture=TINY_JSON,
-                                 patch_size=9, iterations=2))
+        config = json.dumps({"architecture": TINY_JSON, "patch_size": 9, "iterations": 2,
+                             **json.loads(config)})
     (tmp_path / "bad.json").write_text(config)
     extra = {"synth": ["--out", "d"], "experiment": ["--out", "e"],
              "train": ["--data", str(workspace / "data" / "train"),
@@ -461,14 +469,17 @@ _BAD_META = [(field, _MISSING) for field in ("version", "specs", "patch_size", "
                                              "in_channels", "seed")]
 _BAD_META += [("version", True), ("version", 2), ("patch_size", 9.0), ("num_classes", 2.0),
               ("in_channels", True), ("seed", "x"), ("seed", 1.5)]
+_BAD_META += [("specs", 5), ("specs", [["dense", 2, 9]]), ("specs", [None]), ("specs", "relu"),
+              ("specs", {"a": 1})]
 
 
 @pytest.mark.parametrize("field, value", _BAD_META, ids=[
     f if v is _MISSING else f"{f}={v!r}" for f, v in _BAD_META])
 def test_checkpoint_missing_metadata_field_exits_one(tmp_path, capsys, field, value):
-    # a missing field, one that is not a JSON integer, or an unknown
-    # version is named with the file and nothing is written; true, 9.0
-    # and 2.0 equal the values they replace, so only the type stops them
+    # a missing field, one that is not a JSON integer, malformed specs or
+    # an unknown version is named with the file and nothing is written;
+    # true, 9.0 and 2.0 equal the values they replace, so only the type
+    # stops them
     specs = tuple(LayerSpec(k, s) for k, s in TINY_JSON)
     good = tmp_path / "good.npz"
     save_checkpoint(Network(specs, 9, 2), good)
@@ -597,6 +608,17 @@ _EMPTY_INPUTS = {
 }
 
 
+def test_mrf_unreadable_map_writes_nothing(tmp_path):
+    # a map that fails to read after another stem was smoothed leaves no
+    # output directory behind
+    _probs_dir(tmp_path / "in", {"a": [0, 1], "b": [0, 1]})
+    bad = tmp_path / "in" / "b_class1.pgm"
+    bad.write_bytes(bad.read_bytes()[:-3])
+    assert main(["mrf", "--probs", str(tmp_path / "in"), "--beta", "1",
+                 "--out", str(tmp_path / "out")]) == 3
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("case", sorted(_EMPTY_INPUTS))
 def test_inputs_without_work_exit_one(tmp_path, monkeypatch, capsys, case):
     setup, argv, message = _EMPTY_INPUTS[case]
@@ -695,6 +717,8 @@ def test_io_errors_exit_three(workspace, tmp_path):
                  "--out", str(tmp_path / "e.csv")]) == 3
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered in subtract:RuntimeWarning")
 def test_numerical_failure_exits_two(workspace, tmp_path):
     cfg = tmp_path / "hot.json"
     cfg.write_text(json.dumps({"architecture": TINY_JSON, "patch_size": 9,

@@ -1,5 +1,8 @@
 """Network forward/backward, init statistics, SGD, checkpoints."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +11,7 @@ from oracles import (conv3x3, conv3x3_backward, conv3x3_param_grads, maxpool_arg
                      maxpool_argmax_backward)
 from tvseg.errors import NumericalError
 from tvseg.network import (LAYER_KINDS, LayerSpec, Network, _Conv3x3, _MaxPool2x2, _ReLU,
-                           default_specs, load_checkpoint, save_checkpoint, sgd_step,
+                           _Trainable, default_specs, load_checkpoint, save_checkpoint, sgd_step,
                            specs_from_json, specs_to_json)
 
 TINY = (LayerSpec("conv3x3", 2), LayerSpec("relu"), LayerSpec("maxpool2x2"),
@@ -132,12 +135,10 @@ def test_backward_skips_only_unread_layer0_input_grad(specs, patch):
     gout = rng.standard_normal((5, 2))
     expect = np.zeros_like(net.params)
     carry = gout
-    for layer, lc, (w, _), (gw, gb) in zip(
-            reversed(net._layers), reversed(cache.layer_caches),
-            reversed(net._views(net.params)), reversed(net._views(expect))):
-        if layer.w_shape is not None:
-            layer.param_grads(carry, lc, gw, gb)
-        carry = layer.backward(carry, lc, w)
+    for layer, lc in zip(reversed(net._layers), reversed(cache.layer_caches)):
+        if isinstance(layer, _Trainable):
+            layer.param_grads(carry, lc, *layer.split(expect))
+        carry = layer.backward(carry, lc)
     assert carry.shape == (5, patch, patch, 1)
     assert net.batch_backward(cache, gout).tobytes() == expect.tobytes()
 
@@ -155,13 +156,14 @@ def test_conv_matches_tensordot_oracle(n, h, w, c, maps, sliced, seed):
     assert x.flags.c_contiguous != sliced
     wt, b = rng.standard_normal((3, 3, c, maps)), rng.standard_normal(maps)
     conv = _Conv3x3((h, w, c), maps)
+    conv.w, conv.b = wt, b
 
-    y, cache = conv.forward(x, wt, b)
+    y, cache = conv.forward(x)
     assert y.tobytes() == conv3x3(x, wt, b).tobytes()
     dout = rng.standard_normal(y.shape)
     gw, gb = np.full(wt.shape, np.nan), np.full(maps, np.nan)
     conv.param_grads(dout, cache, gw, gb)
-    dx = conv.backward(dout, cache, wt)
+    dx = conv.backward(dout, cache)
     expect_gw, expect_gb = conv3x3_param_grads(dout, x)
     assert gw.tobytes() == expect_gw.tobytes()
     assert gb.tobytes() == expect_gb.tobytes()
@@ -188,14 +190,14 @@ def test_pool_matches_argmax_oracle(n, one_image, h, w, c, tie_share, seed):
                  rng.choice(_TIES, size=(n, h, w, c)), rng.uniform(-1.0, 1.0, (n, h, w, c)))
     pool = _MaxPool2x2((h, w, c), 0)
 
-    y, cache = pool.forward(x, None, None)
+    y, cache = pool.forward(x)
     expect, idx = maxpool_argmax(x)
     assert y.tobytes() == expect.tobytes()
     dout = rng.choice(np.array([-2.0, -0.0, 0.0, 1.5]), size=y.shape)
-    assert (pool.backward(dout, cache, None).tobytes()
+    assert (pool.backward(dout, cache).tobytes()
             == maxpool_argmax_backward(dout, idx, x.shape).tobytes())
 
-    out, cache = pool.forward(x, None, None, images)
+    out, cache = pool.forward(x, images)
     ho, wo = (h - 1) // 2, (w - 1) // 2
     dout = np.where(rng.uniform(size=out.shape) < 0.5, rng.choice(_TIES[1:3], size=out.shape),
                     rng.standard_normal(out.shape))
@@ -212,7 +214,7 @@ def test_pool_matches_argmax_oracle(n, one_image, h, w, c, tie_share, seed):
             dx[:, pr:pr + 2 * ho, pc:pc + 2 * wo] += part
         else:
             dx[:, pr:pr + 2 * ho, pc:pc + 2 * wo] = part
-    assert pool.backward(dout, cache, None).tobytes() == dx.tobytes()
+    assert pool.backward(dout, cache).tobytes() == dx.tobytes()
 
 
 @pytest.mark.parametrize("shape", [(1, 9, 8, 1), (2, 12, 13, 3), (4, 7, 7, 8)])
@@ -223,7 +225,7 @@ def test_pool_fragments_max_matches_argmax(shape):
     x = rng.choice(_TIES, size=shape)
     n, h, w, c = shape
     ho, wo = (h - 1) // 2, (w - 1) // 2
-    out, _ = _MaxPool2x2(shape[1:], 0).forward(x, None, None, n)
+    out, _ = _MaxPool2x2(shape[1:], 0).forward(x, n)
     phases = out.reshape(n, 2, 1, 2, 1, ho, wo, c)
     for pr, pc in ((0, 0), (0, 1), (1, 0), (1, 1)):
         expect, _ = maxpool_argmax(x[:, pr:pr + 2 * ho, pc:pc + 2 * wo])
@@ -234,11 +236,11 @@ def test_pool_fragments_max_matches_argmax(shape):
 def test_relu_backward_masks_by_positive_input():
     x = np.array([-1.0, -0.0, 0.0, 2.0]).reshape(1, 2, 2, 1)
     relu = _ReLU(x.shape[1:], 0)
-    _, cache = relu.forward(x, None, None)
+    _, cache = relu.forward(x)
     for dout in (np.full_like(x, 3.0), np.full_like(x, -3.0), np.array([
             [[[np.inf], [-np.inf]], [[np.nan], [-0.0]]]])):
         with np.errstate(invalid="ignore"):  # inf * 0
-            got = relu.backward(dout, cache, None)
+            got = relu.backward(dout, cache)
             assert got.tobytes() == (dout * (x > 0)).tobytes()
 
 
@@ -257,6 +259,48 @@ def test_sgd_step_identities():
     assert np.array_equal(net.params, before)
     sgd_step(net, net.params.copy(), lr=1.0, weight_decay=0.0)
     assert np.all(net.params == 0.0)
+
+
+def test_params_cannot_be_rebound():
+    # the layers' weights are views into params, so a new array would
+    # leave them behind
+    net = Network.init(TINY, 9, 2, seed=10)
+    with pytest.raises(AttributeError):
+        net.params = np.zeros_like(net.params)
+
+
+@pytest.mark.parametrize("twin", [copy.deepcopy, lambda net: pickle.loads(pickle.dumps(net))],
+                         ids=["deepcopy", "pickle"])
+def test_copied_network_layers_view_its_params(twin):
+    # a copy's weights are views into its own params: an sgd_step on the
+    # copy moves its outputs and leaves the original's alone
+    rng = np.random.default_rng(12)
+    net = Network.init(TINY, 9, 2, seed=12)
+    x = rng.uniform(size=(3, 9, 9, 1))
+    before = net.batch_forward(x)[0].tobytes()
+    copied = twin(net)
+    sgd_step(copied, rng.standard_normal(net.num_params), lr=0.1)
+    fresh = Network(TINY, 9, 2, params=copied.params.copy())
+    assert copied.batch_forward(x)[0].tobytes() == fresh.batch_forward(x)[0].tobytes()
+    assert net.batch_forward(x)[0].tobytes() == before != fresh.batch_forward(x)[0].tobytes()
+
+
+def test_strided_params_match_contiguous_copy():
+    # a network built on a strided view of its parameters computes what
+    # one built on a contiguous copy does, before and after an sgd_step
+    rng = np.random.default_rng(11)
+    base = Network.init(TINY, 9, 2, seed=11)
+    wide = np.zeros(2 * base.num_params)
+    wide[::2] = base.params
+    strided = Network(TINY, 9, 2, params=wide[::2])
+    dense = Network(TINY, 9, 2, params=base.params.copy())
+    x = rng.uniform(size=(4, 9, 9, 1))
+    grads = rng.standard_normal(base.num_params)
+    for _ in range(2):
+        assert strided.batch_forward(x)[0].tobytes() == dense.batch_forward(x)[0].tobytes()
+        for net in (strided, dense):
+            sgd_step(net, grads, lr=0.1, weight_decay=1e-3)
+    assert strided.params.tobytes() == dense.params.tobytes()
 
 
 def test_sgd_step_rejects_nonfinite():

@@ -18,7 +18,7 @@ from tvseg.data import LabeledImage, SparseLabelSet, SynthConfig, merge_sparse, 
 from tvseg.gradcheck import _NB_COLS, _NB_ROWS
 from tvseg.network import LayerSpec, Network, default_specs, sgd_step
 from tvseg.trainer import (TrainConfig, predict_image, supervised_grad, train,
-                           unsupervised_grad, _PREDICT_CHUNK, _gather,
+                           unsupervised_grad, _PREDICT_CHUNK, _cut,
                            _loss_and_grad_out, _windows)
 from tvseg.tv_loss import TotalVariation, _sobel, tv_grad_image, tv_value_image
 
@@ -454,21 +454,27 @@ def test_train_makes_one_tv_call_per_iteration(monkeypatch):
 
 
 @settings(max_examples=100, deadline=None)
-@given(h=st.integers(1, 12), w=st.integers(1, 12), channels=st.sampled_from([1, 3]),
+@given(sizes=st.lists(st.tuples(st.integers(1, 12), st.integers(1, 12)), min_size=1, max_size=3),
+       channels=st.sampled_from([1, 3]),
        patch_size=st.integers(0, 7).map(lambda k: 2 * k + 1), seed=st.integers(0, 2 ** 16))
-def test_gather_matches_extract_patch_oracle(h, w, channels, patch_size, seed):
-    img = np.random.default_rng(seed).uniform(size=(h, w, channels))
+def test_gather_matches_extract_patch_oracle(sizes, channels, patch_size, seed):
+    # every pixel of several images of different sizes, cut in shuffled
+    # order: each window comes from the image ``which`` names
+    rng = np.random.default_rng(seed)
+    imgs = [rng.uniform(size=(h, w, channels)) for h, w in sizes]
     # a single-channel image also goes in as a 2-D array
-    windows = _windows(img if channels == 3 else img[:, :, 0], patch_size)
-    rows, cols = np.divmod(np.arange(h * w), w)
-    patches = _gather(windows, rows, cols)
-    assert patches.shape == (h * w, patch_size, patch_size, channels)
-    for patch, r, c in zip(patches, rows, cols):
-        assert np.array_equal(patch, extract_patch(img, (r, c), patch_size))
+    windows = [_windows(img if channels == 3 else img[:, :, 0], patch_size) for img in imgs]
+    entries = rng.permutation([(k, r, c) for k, (h, w) in enumerate(sizes)
+                               for r in range(h) for c in range(w)])
+    patches = _cut(windows, *entries.T)
+    assert patches.shape == (len(entries), patch_size, patch_size, channels)
+    for patch, (k, r, c) in zip(patches, entries):
+        assert np.array_equal(patch, extract_patch(imgs[k], (r, c), patch_size))
     # interior neighborhoods: the nine centers in row-major order
-    for r in range(1, h - 1):
-        for c in range(1, w - 1):
-            oracle = [extract_patch(img, (r + dr, c + dc), patch_size)
-                      for dr in (-1, 0, 1) for dc in (-1, 0, 1)]
-            assert np.array_equal(_gather(windows, r + _NB_ROWS, c + _NB_COLS),
-                                  np.stack(oracle))
+    for k, (h, w) in enumerate(sizes):
+        for r in range(1, h - 1):
+            for c in range(1, w - 1):
+                oracle = [extract_patch(imgs[k], (r + dr, c + dc), patch_size)
+                          for dr in (-1, 0, 1) for dc in (-1, 0, 1)]
+                assert np.array_equal(_cut(windows, [k] * 9, r + _NB_ROWS, c + _NB_COLS),
+                                      np.stack(oracle))
