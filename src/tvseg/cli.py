@@ -24,7 +24,7 @@ from .data import (SynthConfig, load_dataset, load_image,
                    load_labels, load_prob_map, load_sparse, merge_sparse,
                    sample_sparse_labels, save_dataset, save_labels,
                    save_prob_map, save_sparse, synth_dataset)
-from .errors import NumericalError, check_int
+from .errors import NumericalError, check_int, check_int_fields
 from .evaluate import (MODES, ExperimentConfig, emit_table, pixel_error, pooled_error,
                        run_experiment)
 from .gradcheck import run_all
@@ -115,19 +115,12 @@ def _config(cls, raw, args=None):
     for name in types:
         if getattr(args, name, None) is not None:
             values[name] = getattr(args, name)
+    check_int_fields(cls, values, section)
     for name, value in values.items():
-        where = f"{section} config field {name}"
-        if types[name] is int:
-            check_int(where, value)
-        elif types[name] == tuple[int, ...]:
-            if not isinstance(value, (list, tuple)):
-                raise ValueError(f"{where} must be a list of integers, got {value!r}")
-            for item in value:
-                check_int(f"each entry of {where}", item)
         if is_dataclass(types[name]):
             values[name] = _config(types[name], value)
         elif name == "architecture" and value is not None:
-            values[name] = specs_from_json(value, where)
+            values[name] = specs_from_json(value, f"{section} config field {name}")
         elif isinstance(value, list):
             values[name] = tuple(value)
     return cls(**values)
@@ -234,10 +227,11 @@ def cmd_predict(args) -> int:
     net = load_checkpoint(Path(args.checkpoint))
     image = load_image(Path(args.image))
     probs = predict_image(net, image)
+    labels = argmax_labels(probs)
     prefix = Path(args.out_prefix)
     prefix.parent.mkdir(parents=True, exist_ok=True)
     save_prob_map(prefix, probs)
-    save_labels(Path(f"{prefix}_labels.pgm"), argmax_labels(probs))
+    save_labels(Path(f"{prefix}_labels.pgm"), labels)
     resolved = {"checkpoint": str(args.checkpoint), "image": str(args.image)}
     _write_manifest(Path(f"{prefix}_manifest.json"), "predict", resolved,
                     net.seed, [args.checkpoint, args.image])

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import check_finite
+from .errors import check_finite, check_int_fields
 from .pnm import PnmError, read_pnm, write_pnm
 from .rng import mix_seed
 
@@ -145,6 +145,7 @@ class SynthConfig:
     shade_jitter: float = 0.15
 
     def __post_init__(self):
+        check_int_fields(SynthConfig, vars(self))
         if self.height < 1 or self.width < 1:
             raise ValueError("degenerate image dimensions")
         check_finite("noise_std", self.noise_std)

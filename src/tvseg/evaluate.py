@@ -24,6 +24,7 @@ import numpy as np
 
 from .data import (LabeledImage, SynthConfig, UNLABELED, load_dataset,
                    merge_sparse, sample_sparse_labels, synth_dataset)
+from .errors import check_int_fields
 from .mrf import MrfConfig, argmax_labels, icm_smooth
 from .rng import ROLE_SPARSE, ROLE_TRAIN, mix_seed
 from .trainer import TrainConfig, predict_image, train
@@ -84,6 +85,7 @@ class ExperimentConfig:
     data_dir: str | None = None
 
     def __post_init__(self):
+        check_int_fields(ExperimentConfig, vars(self))
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         if not self.labels_per_image or any(n < 1 for n in self.labels_per_image):

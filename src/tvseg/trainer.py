@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import LabeledImage, SparseLabelSet, pad_mirror
-from .errors import NumericalError, check_finite
+from .errors import NumericalError, check_finite, check_int_fields
 from .network import LayerSpec, Network, default_specs, sgd_step
 from .rng import ROLE_INIT, ROLE_SUP_DRAW, ROLE_UNSUP_DRAW, make_rng, mix_seed
 from .tv_loss import _sobel, _subgradient
@@ -50,6 +50,7 @@ class TrainConfig:
     architecture: tuple[LayerSpec, ...] | None = None
 
     def __post_init__(self):
+        check_int_fields(TrainConfig, vars(self))
         check_finite("alpha", self.alpha)
         check_finite("lr", self.lr, positive=True)
         check_finite("weight_decay", self.weight_decay)

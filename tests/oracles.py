@@ -166,3 +166,56 @@ def icm_labels(probs: np.ndarray, beta: float, max_iters: int) -> np.ndarray:
         if not changed:
             break
     return labels.astype(np.uint8)
+
+
+def icm_loop(probs: np.ndarray, beta: float, max_iters: int) -> tuple[np.ndarray, int]:
+    """ICM under the Potts prior as one Python-float loop over every pixel
+    of every sweep, and the number of sweeps it ran.
+
+    Raster-order sweeps from the argmax; each visit copies the pixel's
+    unary costs, adds beta to every class but the neighbor's for each
+    neighbor in the order above, below, left, right, takes the first
+    least cost and relabels only on strict improvement.  Stops after a
+    sweep without a change or after ``max_iters`` sweeps.
+    """
+    labels = probs.argmax(axis=2).astype(np.uint8)
+    if beta == 0:
+        return labels, 0
+    unary = -np.log(np.maximum(np.asarray(probs, dtype=np.float64), 1e-12))
+    h, w, k = unary.shape
+
+    beta = float(beta)
+    costs = unary.tolist()
+    field = labels.tolist()
+    classes = range(k)
+    sweeps = 0
+    for _ in range(max_iters):
+        sweeps += 1
+        changed = False
+        for r in range(h):
+            row, unary_row = field[r], costs[r]
+            above = field[r - 1] if r > 0 else None
+            below = field[r + 1] if r < h - 1 else None
+            for c in range(w):
+                neighbors = []
+                if above is not None:
+                    neighbors.append(above[c])
+                if below is not None:
+                    neighbors.append(below[c])
+                if c > 0:
+                    neighbors.append(row[c - 1])
+                if c < w - 1:
+                    neighbors.append(row[c + 1])
+                cost = unary_row[c][:]
+                for other in neighbors:
+                    for j in classes:
+                        if j != other:
+                            cost[j] += beta
+                best = min(classes, key=cost.__getitem__)  # first min wins
+                # relabel only on strict improvement so ties cannot oscillate
+                if cost[best] < cost[row[c]]:
+                    row[c] = best
+                    changed = True
+        if not changed:
+            break
+    return np.array(field, dtype=np.uint8).reshape(h, w), sweeps

@@ -389,6 +389,19 @@ def test_non_integer_config_fields_exit_one(workspace, tmp_path, monkeypatch, ca
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
 
 
+@pytest.mark.parametrize("cls, field, value", [
+    (MrfConfig, "max_iters", 1.5), (MrfConfig, "max_iters", True),
+    (TrainConfig, "iterations", 2.5), (TrainConfig, "sup_batch", True),
+    (TrainConfig, "unsup_batch", 1.5), (ExperimentConfig, "trials", 1.5),
+    (ExperimentConfig, "labels_per_image", (2.5,)), (SynthConfig, "height", 20.0),
+], ids=["mrf_float", "mrf_bool", "train_float", "train_bool", "train_float_batch",
+        "experiment_float", "experiment_float_entry", "synth_float"])
+def test_configs_built_in_python_take_integers_only(cls, field, value):
+    # the rule the CLI applies to JSON configs holds for the constructors
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        cls(**{field: value})
+
+
 @pytest.mark.parametrize("flags", [["--lr", "inf"], ["--lr", "nan"], ["--weight-decay", "nan"],
                                    ["--alpha", "nan"], ["--alpha", "inf"]],
                          ids=["lr_inf", "lr_nan", "weight_decay_nan", "alpha_nan", "alpha_inf"])
@@ -616,6 +629,25 @@ def test_mrf_unreadable_map_writes_nothing(tmp_path):
     bad.write_bytes(bad.read_bytes()[:-3])
     assert main(["mrf", "--probs", str(tmp_path / "in"), "--beta", "1",
                  "--out", str(tmp_path / "out")]) == 3
+    assert not (tmp_path / "out").exists()
+
+
+def test_over_255_classes_write_nothing(tmp_path, capsys):
+    # a label image holds classes 0..254 (255 marks unlabeled pixels), so
+    # 256 class maps, or a model with 256 classes, are refused before
+    # anything is written
+    (tmp_path / "in").mkdir()
+    for k in range(256):
+        write_pnm(tmp_path / "in" / f"a_class{k}.pgm", np.full((2, 3), 256, np.uint16), 65535)
+    assert main(["mrf", "--probs", str(tmp_path / "in"), "--beta", "1",
+                 "--out", str(tmp_path / "out")]) == 1
+    assert "at most 255 classes" in capsys.readouterr().err
+    specs = (LayerSpec("dense", 256), LayerSpec("softmax"))
+    save_checkpoint(Network.init(specs, 3, 256, seed=0), tmp_path / "m.npz")
+    write_pnm(tmp_path / "img.pgm", np.zeros((2, 3), np.uint8), 255)
+    assert main(["predict", "--checkpoint", str(tmp_path / "m.npz"), "--image",
+                 str(tmp_path / "img.pgm"), "--out-prefix", str(tmp_path / "out" / "p")]) == 1
+    assert "at most 255 classes" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
