@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .data import (SynthConfig, load_dataset, load_image,
+from .data import (SynthConfig, check_split_sizes, load_dataset, load_image,
                    load_labels, load_prob_map, load_sparse, merge_sparse,
                    sample_sparse_labels, save_dataset, save_labels,
                    save_prob_map, save_sparse, synth_dataset)
@@ -167,8 +167,7 @@ def cmd_synth(args) -> int:
         num_test = args.num_test
     check_int("synth config field num_train", num_train)
     check_int("synth config field num_test", num_test)
-    if num_train < 1 or num_test < 1:
-        raise ValueError("num_train and num_test must be at least 1")
+    check_split_sizes(num_train, num_test)
     cfg = _config(SynthConfig, raw, args)
     out = Path(args.out)
     save_dataset(out / "train", synth_dataset(cfg, num_train, "train", seed_offset=0))

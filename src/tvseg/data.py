@@ -209,6 +209,12 @@ def synth_generate(cfg: SynthConfig) -> LabeledImage:
     return LabeledImage(np.clip(image, 0.0, 1.0), labels)
 
 
+def check_split_sizes(num_train: int, num_test: int) -> None:
+    """A synthetic dataset has at least one train and one test image."""
+    if num_train < 1 or num_test < 1:
+        raise ValueError("num_train and num_test must be at least 1")
+
+
 def synth_dataset(cfg: SynthConfig, count: int, prefix: str,
                   seed_offset: int = 0) -> dict[str, LabeledImage]:
     """Generate ``count`` images with per-image seeds derived from cfg.seed."""

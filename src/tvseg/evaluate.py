@@ -15,15 +15,27 @@ each requested mode, and scores pooled test pixel error.  Modes:
 Trial seeds mix (master_seed, size, trial) so adding budgets or trials
 never perturbs existing ones, and the supervised and semi-supervised
 arms of one trial share their init and supervised-draw streams.
+
+The trainings share no state, so each (size, trial) is split into jobs,
+one per arm: the supervised network with MRF-post on top of it, and one
+network per alpha.  The jobs run in worker processes started with the
+``fork`` start method (Linux; the images reach the workers with the
+forked memory, not by pickling), one per CPU in the affinity mask.  This
+process keeps every sparse draw and seed and builds the rows in job
+order, so ``results.csv`` is byte-identical at any worker count and
+BLAS thread count.  The workers end with this process, also when a
+signal kills it.
 """
 
+import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from .data import (LabeledImage, SynthConfig, UNLABELED, load_dataset,
-                   merge_sparse, sample_sparse_labels, synth_dataset)
+from .data import (LabeledImage, SparseLabelSet, SynthConfig, UNLABELED,
+                   check_split_sizes, load_dataset, merge_sparse, sample_sparse_labels,
+                   synth_dataset)
 from .errors import check_int_fields
 from .mrf import MrfConfig, argmax_labels, icm_smooth
 from .rng import ROLE_SPARSE, ROLE_TRAIN, mix_seed
@@ -103,8 +115,7 @@ class ExperimentConfig:
         for beta in self.mrf_betas:
             MrfConfig(beta, self.mrf_max_iters)
         if self.data_dir is None:
-            if self.num_train < 1 or self.num_test < 1:
-                raise ValueError("num_train and num_test must be at least 1")
+            check_split_sizes(self.num_train, self.num_test)
             if self.train.num_classes != self.synth.num_classes:
                 raise ValueError("train.num_classes must match synth.num_classes")
 
@@ -153,6 +164,57 @@ def _check_labels(images: dict[str, LabeledImage], k: int, what: str) -> None:
                              f"but the model has {k} classes")
 
 
+# The experiment and its images, set in each worker by ``_share``.  Under
+# the fork start method they reach the workers with the forked memory.
+_shared = None
+_PR_SET_PDEATHSIG = 1  # from <linux/prctl.h>
+
+
+def _share(parent: int, cfg: ExperimentConfig, train_images: dict[str, LabeledImage],
+           test_images: dict[str, LabeledImage]) -> None:
+    """Worker set-up: keep the experiment, and die with ``parent``.
+
+    A pool worker whose parent was killed by a signal would go on
+    training and then wait for work forever, so the kernel is asked to
+    kill it when the parent goes.
+    """
+    import ctypes
+    import signal
+
+    global _shared
+    ctypes.CDLL(None).prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
+    if os.getppid() != parent:  # the parent went before the prctl
+        os._exit(1)
+    _shared = cfg, train_images, test_images
+
+
+def _run_arm(sparse: SparseLabelSet, tcfg: TrainConfig) -> tuple[float, ...]:
+    """Test errors of one trained arm of one (size, trial).
+
+    At alpha = 0 the supervised error, then the MRF-post error if that
+    mode runs; at alpha > 0 the semi-supervised error.
+    """
+    cfg, train_images, test_images = _shared
+    test_truth = {name: li.labels for name, li in test_images.items()}
+    net, _ = train(train_images, sparse, tcfg)
+    test_probs = _predict_all(net, test_images)
+    errors = [pooled_error(_argmax_all(test_probs), test_truth)]
+    if tcfg.alpha == 0 and "mrf_post" in cfg.modes:
+        train_probs = _predict_all(net, train_images)
+        train_truth = {name: li.labels for name, li in train_images.items()}
+        best_beta, best_err = cfg.mrf_betas[0], np.inf
+        for beta in cfg.mrf_betas:
+            mc = MrfConfig(beta, cfg.mrf_max_iters)
+            smoothed = {n: icm_smooth(p, mc) for n, p in train_probs.items()}
+            err = pooled_error(smoothed, train_truth)
+            if err < best_err:
+                best_beta, best_err = beta, err
+        mc = MrfConfig(best_beta, cfg.mrf_max_iters)
+        smoothed = {n: icm_smooth(p, mc) for n, p in test_probs.items()}
+        errors.append(pooled_error(smoothed, test_truth))
+    return tuple(errors)
+
+
 def run_experiment(cfg: ExperimentConfig,
                    train_images: dict[str, LabeledImage] | None = None,
                    test_images: dict[str, LabeledImage] | None = None) -> ExperimentResult:
@@ -161,7 +223,13 @@ def run_experiment(cfg: ExperimentConfig,
     The dataset is fixed for the whole experiment; only the sparse label
     draw, the network init and the SGD streams vary per (size, trial).
     Pass ``train_images``/``test_images`` to skip dataset loading.
+    The jobs run in forked workers (see the module docstring); a job's
+    exception is raised here once the pool has shut down.
     """
+    # imported here: at module level they would slow down every ``import tvseg``
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_context
+
     if train_images is None or test_images is None:
         if cfg.data_dir is not None:
             root = Path(cfg.data_dir)
@@ -173,15 +241,11 @@ def run_experiment(cfg: ExperimentConfig,
     k = cfg.train.num_classes
     _check_labels(train_images, k, "train")
     _check_labels(test_images, k, "test")
-    train_truth = {name: li.labels for name, li in train_images.items()}
-    test_truth = {name: li.labels for name, li in test_images.items()}
 
     need_sup = "supervised" in cfg.modes or "mrf_post" in cfg.modes
-    rows: list[ExperimentRow] = []
+    alphas = cfg.alphas if "semi_supervised" in cfg.modes else ()
+    jobs = []
     for size in cfg.labels_per_image:
-        sup_errs: list[float] = []
-        mrf_errs: list[float] = []
-        semi_errs: dict[float, list[float]] = {a: [] for a in cfg.alphas}
         for t in range(cfg.trials):
             trial_seed = mix_seed(cfg.master_seed, size, t)
             sparse = merge_sparse([
@@ -190,37 +254,39 @@ def run_experiment(cfg: ExperimentConfig,
                                      image_id=name)
                 for i, (name, li) in enumerate(train_images.items())])
             base = replace(cfg.train, seed=mix_seed(trial_seed, ROLE_TRAIN))
-
             if need_sup:
-                net0, _ = train(train_images, sparse, replace(base, alpha=0.0))
-                test_probs = _predict_all(net0, test_images)
-                sup_errs.append(pooled_error(_argmax_all(test_probs), test_truth))
-                if "mrf_post" in cfg.modes:
-                    train_probs = _predict_all(net0, train_images)
-                    best_beta, best_err = cfg.mrf_betas[0], np.inf
-                    for beta in cfg.mrf_betas:
-                        mc = MrfConfig(beta, cfg.mrf_max_iters)
-                        smoothed = {n: icm_smooth(p, mc) for n, p in train_probs.items()}
-                        err = pooled_error(smoothed, train_truth)
-                        if err < best_err:
-                            best_beta, best_err = beta, err
-                    mc = MrfConfig(best_beta, cfg.mrf_max_iters)
-                    smoothed = {n: icm_smooth(p, mc) for n, p in test_probs.items()}
-                    mrf_errs.append(pooled_error(smoothed, test_truth))
+                jobs.append((sparse, replace(base, alpha=0.0)))
+            jobs.extend((sparse, replace(base, alpha=a)) for a in alphas)
 
-            if "semi_supervised" in cfg.modes:
-                for a in cfg.alphas:
-                    net, _ = train(train_images, sparse, replace(base, alpha=a))
-                    preds = _argmax_all(_predict_all(net, test_images))
-                    semi_errs[a].append(pooled_error(preds, test_truth))
+    pool = ProcessPoolExecutor(min(len(jobs), len(os.sched_getaffinity(0))),
+                               mp_context=get_context("fork"), initializer=_share,
+                               initargs=(os.getpid(), cfg, train_images, test_images))
+    try:
+        futures = [pool.submit(_run_arm, *job) for job in jobs]
+        results = iter([f.result() for f in futures])
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+    rows: list[ExperimentRow] = []
+    for size in cfg.labels_per_image:
+        sup_errs: list[float] = []
+        mrf_errs: list[float] = []
+        semi_errs: dict[float, list[float]] = {a: [] for a in alphas}
+        for _ in range(cfg.trials):
+            if need_sup:
+                sup_err, *mrf_err = next(results)
+                sup_errs.append(sup_err)
+                mrf_errs.extend(mrf_err)
+            for a in alphas:
+                semi_errs[a].extend(next(results))
 
         if "supervised" in cfg.modes:
             rows.append(_make_row(size, "supervised", sup_errs))
         if "mrf_post" in cfg.modes:
             rows.append(_make_row(size, "mrf_post", mrf_errs))
-        if "semi_supervised" in cfg.modes:
+        if alphas:
             detail = [_make_row(size, f"semi_supervised(alpha={a:g})", semi_errs[a])
-                      for a in cfg.alphas]
+                      for a in alphas]
             rows.extend(detail)
             best = min(detail, key=lambda r: r.mean_error)
             rows.append(ExperimentRow(size, "semi_supervised", best.trial_errors,

@@ -1,10 +1,25 @@
 """Reference implementations that the tests compare fast paths against.
 
 Each one is coded from the raw definition, sharing no code with the
-package, so agreement is evidence that both are right.
+package, so agreement is evidence that both are right.  The exception is
+``run_experiment_serial``: the experiment protocol as one loop over the
+package's own training, prediction and ICM, the oracle for how
+``run_experiment`` splits that loop into jobs and puts the rows back
+together.
 """
 
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
+
+from tvseg.data import (LabeledImage, load_dataset, merge_sparse, sample_sparse_labels,
+                        synth_dataset)
+from tvseg.evaluate import (ExperimentConfig, ExperimentResult, ExperimentRow, _argmax_all,
+                            _check_labels, _make_row, _predict_all, pooled_error)
+from tvseg.mrf import MrfConfig, icm_smooth
+from tvseg.rng import ROLE_SPARSE, ROLE_TRAIN, mix_seed
+from tvseg.trainer import train
 
 
 def mirror_index(i: int, n: int) -> int:
@@ -219,3 +234,80 @@ def icm_loop(probs: np.ndarray, beta: float, max_iters: int) -> tuple[np.ndarray
         if not changed:
             break
     return np.array(field, dtype=np.uint8).reshape(h, w), sweeps
+
+
+def run_experiment_serial(cfg: ExperimentConfig,
+                          train_images: dict[str, LabeledImage] | None = None,
+                          test_images: dict[str, LabeledImage] | None = None
+                          ) -> ExperimentResult:
+    """``evaluate.run_experiment`` as one loop in this process: every
+    training, prediction and ICM call in the order the jobs are made.
+
+    The dataset is fixed for the whole experiment; only the sparse label
+    draw, the network init and the SGD streams vary per (size, trial).
+    Pass ``train_images``/``test_images`` to skip dataset loading.
+    """
+    if train_images is None or test_images is None:
+        if cfg.data_dir is not None:
+            root = Path(cfg.data_dir)
+            train_images = load_dataset(root / "train")
+            test_images = load_dataset(root / "test")
+        else:
+            train_images = synth_dataset(cfg.synth, cfg.num_train, "train", seed_offset=0)
+            test_images = synth_dataset(cfg.synth, cfg.num_test, "test", seed_offset=1)
+    k = cfg.train.num_classes
+    _check_labels(train_images, k, "train")
+    _check_labels(test_images, k, "test")
+    train_truth = {name: li.labels for name, li in train_images.items()}
+    test_truth = {name: li.labels for name, li in test_images.items()}
+
+    need_sup = "supervised" in cfg.modes or "mrf_post" in cfg.modes
+    rows: list[ExperimentRow] = []
+    for size in cfg.labels_per_image:
+        sup_errs: list[float] = []
+        mrf_errs: list[float] = []
+        semi_errs: dict[float, list[float]] = {a: [] for a in cfg.alphas}
+        for t in range(cfg.trials):
+            trial_seed = mix_seed(cfg.master_seed, size, t)
+            sparse = merge_sparse([
+                sample_sparse_labels(li.labels, size,
+                                     seed=mix_seed(trial_seed, ROLE_SPARSE, i),
+                                     image_id=name)
+                for i, (name, li) in enumerate(train_images.items())])
+            base = replace(cfg.train, seed=mix_seed(trial_seed, ROLE_TRAIN))
+
+            if need_sup:
+                net0, _ = train(train_images, sparse, replace(base, alpha=0.0))
+                test_probs = _predict_all(net0, test_images)
+                sup_errs.append(pooled_error(_argmax_all(test_probs), test_truth))
+                if "mrf_post" in cfg.modes:
+                    train_probs = _predict_all(net0, train_images)
+                    best_beta, best_err = cfg.mrf_betas[0], np.inf
+                    for beta in cfg.mrf_betas:
+                        mc = MrfConfig(beta, cfg.mrf_max_iters)
+                        smoothed = {n: icm_smooth(p, mc) for n, p in train_probs.items()}
+                        err = pooled_error(smoothed, train_truth)
+                        if err < best_err:
+                            best_beta, best_err = beta, err
+                    mc = MrfConfig(best_beta, cfg.mrf_max_iters)
+                    smoothed = {n: icm_smooth(p, mc) for n, p in test_probs.items()}
+                    mrf_errs.append(pooled_error(smoothed, test_truth))
+
+            if "semi_supervised" in cfg.modes:
+                for a in cfg.alphas:
+                    net, _ = train(train_images, sparse, replace(base, alpha=a))
+                    preds = _argmax_all(_predict_all(net, test_images))
+                    semi_errs[a].append(pooled_error(preds, test_truth))
+
+        if "supervised" in cfg.modes:
+            rows.append(_make_row(size, "supervised", sup_errs))
+        if "mrf_post" in cfg.modes:
+            rows.append(_make_row(size, "mrf_post", mrf_errs))
+        if "semi_supervised" in cfg.modes:
+            detail = [_make_row(size, f"semi_supervised(alpha={a:g})", semi_errs[a])
+                      for a in cfg.alphas]
+            rows.extend(detail)
+            best = min(detail, key=lambda r: r.mean_error)
+            rows.append(ExperimentRow(size, "semi_supervised", best.trial_errors,
+                                      best.mean_error, best.std_error))
+    return ExperimentResult(rows, cfg.trials)

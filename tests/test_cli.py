@@ -3,9 +3,12 @@
 import argparse
 import io
 import json
+import multiprocessing
 import os
+import signal
 import subprocess
 import sys
+import time
 from dataclasses import fields
 from pathlib import Path
 
@@ -759,6 +762,74 @@ def test_numerical_failure_exits_two(workspace, tmp_path):
                  "--data", str(workspace / "data" / "train"),
                  "--sparse", str(workspace / "sparse.csv"),
                  "--out", str(tmp_path / "m.npz")]) == 2
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered in subtract:RuntimeWarning")
+def test_experiment_numerical_failure_exits_two(tmp_path, capsys):
+    # the NumericalError is raised in a worker process; it reaches the
+    # command as itself, nothing is written and no worker is left running
+    cfg = tmp_path / "hot.json"
+    cfg.write_text(json.dumps({
+        "labels_per_image": [5], "trials": 1, "alphas": [0.1], "mrf_betas": [1.0],
+        "train": {"iterations": 120, "lr": 1e6, "patch_size": 9,
+                  "architecture": TINY_JSON},
+        "synth": {"height": 20, "width": 20, "num_shapes": 3, "seed": 2},
+        "num_train": 2, "num_test": 2}))
+    out = tmp_path / "exp"
+    assert main(["experiment", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "Traceback" not in err
+    assert not out.exists()
+    assert multiprocessing.active_children() == []
+
+
+def _children(pid: int) -> Path:
+    return Path(f"/proc/{pid}/task/{pid}/children")
+
+
+def _alive(pid: str) -> bool:
+    try:
+        state = Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0]
+    except OSError:
+        return False
+    return state not in ("Z", "X")
+
+
+@pytest.mark.skipif(not _children(os.getpid()).exists(),
+                    reason="the kernel lists no child processes under /proc")
+@pytest.mark.parametrize("sig", [signal.SIGTERM, signal.SIGKILL], ids=["term", "kill"])
+def test_killed_experiment_leaves_no_worker(tmp_path, sig):
+    # the workers end with the command even when a signal kills it in
+    # the middle of a training
+    cfg = tmp_path / "long.json"
+    cfg.write_text(json.dumps({
+        "labels_per_image": [5], "trials": 1, "alphas": [0.1], "mrf_betas": [1.0],
+        "train": {"iterations": 10 ** 6, "patch_size": 9, "architecture": TINY_JSON},
+        "synth": {"height": 20, "width": 20, "num_shapes": 3, "seed": 2},
+        "num_train": 2, "num_test": 2}))
+    src = str(Path(tvseg.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.Popen([sys.executable, "-m", "tvseg.cli", "experiment",
+                             "--config", str(cfg), "--out", str(tmp_path / "exp")],
+                            env=dict(os.environ, PYTHONPATH=path))
+    expected = min(2, len(os.sched_getaffinity(0)))  # two jobs
+    try:
+        workers: list[str] = []
+        deadline = time.monotonic() + 60
+        while len(workers) < expected and time.monotonic() < deadline:
+            time.sleep(0.05)
+            workers = _children(proc.pid).read_text().split()
+    finally:
+        proc.send_signal(sig)
+        proc.wait(timeout=60)
+    deadline = time.monotonic() + 30
+    while any(map(_alive, workers)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    left = [pid for pid in workers if _alive(pid)]
+    for pid in left:  # a failed run does not leave them training
+        os.kill(int(pid), signal.SIGKILL)
+    assert len(workers) == expected and left == []
 
 
 # 225 inputs x 10**15 units: 1.8e18 float64 parameters (1.58 EiB), more

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oracles import run_experiment_serial
 from tvseg.data import SynthConfig, UNLABELED
 from tvseg.evaluate import (ExperimentConfig, ExperimentResult, ExperimentRow,
                             emit_table, parse_table, pixel_error,
@@ -127,6 +128,18 @@ def test_experiment_row_layout():
         assert r.std_error == pytest.approx(arr.std(ddof=1))
     with pytest.raises(KeyError):
         res.row(5, "nope")
+
+
+@pytest.mark.parametrize("kw", [
+    dict(labels_per_image=(3, 5), alphas=(0.05, 0.2)),
+    dict(modes=("semi_supervised",), alphas=(0.05, 0.2)),
+    dict(modes=("mrf_post",)),
+], ids=["all_modes", "semi_supervised", "mrf_post"])
+def test_experiment_equals_the_serial_loop(kw):
+    # the jobs run in worker processes; the rows must be those of the
+    # loop that trains every arm in this process, in job order
+    cfg = _tiny_experiment(trials=2, **kw)
+    assert run_experiment(cfg).rows == run_experiment_serial(cfg).rows
 
 
 def test_stats_recomputable_from_trials():
