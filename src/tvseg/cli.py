@@ -3,8 +3,9 @@
 Every command reads an optional JSON config, applies flag overrides,
 validates, runs, and writes a run manifest next to its outputs (the
 resolved config, tool version, seed, and sha256 digests of the
-inputs).  Exit codes: 0 success, 1 validation error, 2 numerical
-failure, 3 IO error.
+inputs).  Exit codes: 0 success, 1 validation error or a lost
+experiment worker, 2 numerical failure, 3 IO error, 130 interrupted
+(SIGINT or Ctrl-C).
 """
 
 import argparse
@@ -24,7 +25,7 @@ from .data import (SynthConfig, check_split_sizes, load_dataset, load_image,
                    load_labels, load_prob_map, load_sparse, merge_sparse,
                    sample_sparse_labels, save_dataset, save_labels,
                    save_prob_map, save_sparse, synth_dataset)
-from .errors import NumericalError, check_int, check_int_fields
+from .errors import NumericalError, WorkerLostError, check_int, check_int_fields
 from .evaluate import (MODES, ExperimentConfig, emit_table, pixel_error, pooled_error,
                        run_experiment)
 from .gradcheck import run_all
@@ -428,6 +429,12 @@ def main(argv=None) -> int:
     except (ValueError, KeyError, TypeError, MemoryError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 1
+    except WorkerLostError as exc:
+        print(f"worker failure: {exc}", file=sys.stderr)
+        return 1
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

@@ -307,19 +307,22 @@ def save_sparse(sls: SparseLabelSet, path) -> None:
 def load_sparse(path) -> SparseLabelSet:
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["image_id", "row", "col", "class"]:
-            raise ValueError(f"{path}: expected header image_id,row,col,class")
-        entries = []
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise ValueError(f"{path}:{line_no}: expected 4 fields")
-            try:
-                entries.append((row[0], int(row[1]), int(row[2]), int(row[3])))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{line_no}: bad integer field") from exc
+        try:
+            rows = list(reader)
+        except csv.Error as exc:  # e.g. a field over the csv module's size limit
+            raise ValueError(f"{path}:{reader.line_num}: {exc}") from exc
+    if rows[:1] != [["image_id", "row", "col", "class"]]:
+        raise ValueError(f"{path}: expected header image_id,row,col,class")
+    entries = []
+    for line_no, row in enumerate(rows[1:], start=2):
+        if not row:
+            continue
+        if len(row) != 4:
+            raise ValueError(f"{path}:{line_no}: expected 4 fields")
+        try:
+            entries.append((row[0], int(row[1]), int(row[2]), int(row[3])))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{line_no}: bad integer field") from exc
     return SparseLabelSet(entries)
 
 

@@ -9,6 +9,10 @@ class NumericalError(RuntimeError):
     """Raised when a computation produces or receives non-finite values."""
 
 
+class WorkerLostError(RuntimeError):
+    """Raised when a worker process of the experiment dies before its job ends."""
+
+
 def check_int(where: str, value) -> None:
     """Accept a JSON integer only: a float or true/false raises ValueError."""
     if isinstance(value, bool) or not isinstance(value, int):

@@ -21,10 +21,12 @@ one per arm: the supervised network with MRF-post on top of it, and one
 network per alpha.  The jobs run in worker processes started with the
 ``fork`` start method (Linux; the images reach the workers with the
 forked memory, not by pickling), one per CPU in the affinity mask.  This
-process keeps every sparse draw and seed and builds the rows in job
-order, so ``results.csv`` is byte-identical at any worker count and
-BLAS thread count.  The workers end with this process, also when a
-signal kills it.
+process keeps every sparse draw and seed and keys each job's errors by
+(budget, trial, alpha), alpha 0 for the supervised arm; every row reads
+its trial columns by key, so ``results.csv`` is byte-identical at any
+worker count and BLAS thread count.  The workers end with this process,
+also when a signal kills it; an exception here, a SIGINT included, kills
+them first.
 """
 
 import os
@@ -36,7 +38,7 @@ import numpy as np
 from .data import (LabeledImage, SparseLabelSet, SynthConfig, UNLABELED,
                    check_split_sizes, load_dataset, merge_sparse, sample_sparse_labels,
                    synth_dataset)
-from .errors import check_int_fields
+from .errors import WorkerLostError, check_int_fields
 from .mrf import MrfConfig, argmax_labels, icm_smooth
 from .rng import ROLE_SPARSE, ROLE_TRAIN, mix_seed
 from .trainer import TrainConfig, predict_image, train
@@ -102,6 +104,10 @@ class ExperimentConfig:
             raise ValueError("trials must be at least 1")
         if not self.labels_per_image or any(n < 1 for n in self.labels_per_image):
             raise ValueError("labels_per_image entries must be at least 1")
+        for name in ("labels_per_image", "alphas"):
+            values = getattr(self, name)
+            if len(set(values)) != len(values):
+                raise ValueError(f"{name} must not repeat a value, got {list(values)}")
         bad = set(self.modes) - set(MODES)
         if bad or not self.modes:
             raise ValueError(f"modes must be a non-empty subset of {MODES}")
@@ -202,16 +208,13 @@ def _run_arm(sparse: SparseLabelSet, tcfg: TrainConfig) -> tuple[float, ...]:
     if tcfg.alpha == 0 and "mrf_post" in cfg.modes:
         train_probs = _predict_all(net, train_images)
         train_truth = {name: li.labels for name, li in train_images.items()}
-        best_beta, best_err = cfg.mrf_betas[0], np.inf
-        for beta in cfg.mrf_betas:
+
+        def mrf_error(probs, truth, beta):
             mc = MrfConfig(beta, cfg.mrf_max_iters)
-            smoothed = {n: icm_smooth(p, mc) for n, p in train_probs.items()}
-            err = pooled_error(smoothed, train_truth)
-            if err < best_err:
-                best_beta, best_err = beta, err
-        mc = MrfConfig(best_beta, cfg.mrf_max_iters)
-        smoothed = {n: icm_smooth(p, mc) for n, p in test_probs.items()}
-        errors.append(pooled_error(smoothed, test_truth))
+            return pooled_error({n: icm_smooth(p, mc) for n, p in probs.items()}, truth)
+
+        beta = min(cfg.mrf_betas, key=lambda b: mrf_error(train_probs, train_truth, b))
+        errors.append(mrf_error(test_probs, test_truth, beta))
     return tuple(errors)
 
 
@@ -223,11 +226,12 @@ def run_experiment(cfg: ExperimentConfig,
     The dataset is fixed for the whole experiment; only the sparse label
     draw, the network init and the SGD streams vary per (size, trial).
     Pass ``train_images``/``test_images`` to skip dataset loading.
-    The jobs run in forked workers (see the module docstring); a job's
-    exception is raised here once the pool has shut down.
+    The jobs run in forked workers (see the module docstring); the first
+    failing job's exception is raised here once the pool has shut down.
     """
     # imported here: at module level they would slow down every ``import tvseg``
     from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
     from multiprocessing import get_context
 
     if train_images is None or test_images is None:
@@ -242,9 +246,9 @@ def run_experiment(cfg: ExperimentConfig,
     _check_labels(train_images, k, "train")
     _check_labels(test_images, k, "test")
 
-    need_sup = "supervised" in cfg.modes or "mrf_post" in cfg.modes
     alphas = cfg.alphas if "semi_supervised" in cfg.modes else ()
-    jobs = []
+    arms = ((0.0,) if {"supervised", "mrf_post"} & set(cfg.modes) else ()) + alphas
+    keys, jobs = [], []
     for size in cfg.labels_per_image:
         for t in range(cfg.trials):
             trial_seed = mix_seed(cfg.master_seed, size, t)
@@ -254,38 +258,37 @@ def run_experiment(cfg: ExperimentConfig,
                                      image_id=name)
                 for i, (name, li) in enumerate(train_images.items())])
             base = replace(cfg.train, seed=mix_seed(trial_seed, ROLE_TRAIN))
-            if need_sup:
-                jobs.append((sparse, replace(base, alpha=0.0)))
-            jobs.extend((sparse, replace(base, alpha=a)) for a in alphas)
+            for alpha in arms:
+                keys.append((size, t, alpha))
+                jobs.append((sparse, replace(base, alpha=alpha)))
 
     pool = ProcessPoolExecutor(min(len(jobs), len(os.sched_getaffinity(0))),
                                mp_context=get_context("fork"), initializer=_share,
                                initargs=(os.getpid(), cfg, train_images, test_images))
     try:
-        futures = [pool.submit(_run_arm, *job) for job in jobs]
-        results = iter([f.result() for f in futures])
+        errors = dict(zip(keys, pool.map(_run_arm, *zip(*jobs))))
+    except BrokenProcessPool:
+        raise WorkerLostError("a worker process died before its job ended (killed "
+                              "by a signal, such as the out-of-memory killer)") from None
+    except BaseException:
+        # shutdown would wait for the running trainings: end them first
+        for worker in list(pool._processes.values()):
+            worker.kill()
+        raise
     finally:
         pool.shutdown(cancel_futures=True)
 
+    def trial_errors(size, alpha, arm_error=0):
+        return [errors[size, t, alpha][arm_error] for t in range(cfg.trials)]
+
     rows: list[ExperimentRow] = []
     for size in cfg.labels_per_image:
-        sup_errs: list[float] = []
-        mrf_errs: list[float] = []
-        semi_errs: dict[float, list[float]] = {a: [] for a in alphas}
-        for _ in range(cfg.trials):
-            if need_sup:
-                sup_err, *mrf_err = next(results)
-                sup_errs.append(sup_err)
-                mrf_errs.extend(mrf_err)
-            for a in alphas:
-                semi_errs[a].extend(next(results))
-
         if "supervised" in cfg.modes:
-            rows.append(_make_row(size, "supervised", sup_errs))
+            rows.append(_make_row(size, "supervised", trial_errors(size, 0.0)))
         if "mrf_post" in cfg.modes:
-            rows.append(_make_row(size, "mrf_post", mrf_errs))
+            rows.append(_make_row(size, "mrf_post", trial_errors(size, 0.0, 1)))
         if alphas:
-            detail = [_make_row(size, f"semi_supervised(alpha={a:g})", semi_errs[a])
+            detail = [_make_row(size, f"semi_supervised(alpha={a:g})", trial_errors(size, a))
                       for a in alphas]
             rows.extend(detail)
             best = min(detail, key=lambda r: r.mean_error)

@@ -20,6 +20,7 @@ import tvseg
 from tvseg.cli import _config, _config_json, _load_config, build_parser, main
 from tvseg.data import UNLABELED, SynthConfig, load_dataset, load_labels, save_labels
 from tvseg.evaluate import ExperimentConfig, emit_table, parse_table, run_experiment
+from tvseg.gradcheck import CheckResult
 from tvseg.mrf import MrfConfig
 from tvseg.network import LAYER_KINDS, LayerSpec, Network, save_checkpoint
 from tvseg.pnm import read_pnm, write_pnm
@@ -55,6 +56,14 @@ def test_version_flag_exits_zero():
 
 def test_gradcheck_passes():
     assert main(["gradcheck", "--seed", "0"]) == 0
+
+
+def test_gradcheck_failure_exits_two(monkeypatch, capsys):
+    monkeypatch.setattr("tvseg.cli.run_all", lambda seed: [CheckResult("a", True, 1e-9),
+                                                           CheckResult("b", False, 0.5)])
+    assert main(["gradcheck"]) == 2
+    out, err = capsys.readouterr()
+    assert "b: FAIL" in out and err == "1 of 2 checks FAILED\n"
 
 
 def test_synth_writes_dataset_and_manifest(workspace):
@@ -480,6 +489,18 @@ def test_experiment_rejects_mrf_settings_before_training(tmp_path, monkeypatch, 
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
 
 
+def test_experiment_rejects_repeated_alphas_before_training(tmp_path, monkeypatch, capsys):
+    # a repeated alpha would put two arms under one (budget, trial, alpha)
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained before the alphas were checked")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr("tvseg.evaluate.train", no_training)
+    assert main(["experiment", "--out", "e", "--trials", "1", "--alphas", "0.1,0.1"]) == 1
+    assert "alphas must not repeat a value" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 _MISSING = object()
 _BAD_META = [(field, _MISSING) for field in ("version", "specs", "patch_size", "num_classes",
                                              "in_channels", "seed")]
@@ -796,40 +817,93 @@ def _alive(pid: str) -> bool:
     return state not in ("Z", "X")
 
 
-@pytest.mark.skipif(not _children(os.getpid()).exists(),
-                    reason="the kernel lists no child processes under /proc")
-@pytest.mark.parametrize("sig", [signal.SIGTERM, signal.SIGKILL], ids=["term", "kill"])
-def test_killed_experiment_leaves_no_worker(tmp_path, sig):
-    # the workers end with the command even when a signal kills it in
-    # the middle of a training
+def _start_long_experiment(tmp_path, iterations: int):
+    """A two-job experiment with the tiny architecture in a child process,
+    returned with its workers' pids once all of them run.  If they do not
+    within 60 s, the command is killed and the test fails."""
     cfg = tmp_path / "long.json"
     cfg.write_text(json.dumps({
         "labels_per_image": [5], "trials": 1, "alphas": [0.1], "mrf_betas": [1.0],
-        "train": {"iterations": 10 ** 6, "patch_size": 9, "architecture": TINY_JSON},
+        "train": {"iterations": iterations, "patch_size": 9, "architecture": TINY_JSON},
         "synth": {"height": 20, "width": 20, "num_shapes": 3, "seed": 2},
         "num_train": 2, "num_test": 2}))
     src = str(Path(tvseg.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.Popen([sys.executable, "-m", "tvseg.cli", "experiment",
                              "--config", str(cfg), "--out", str(tmp_path / "exp")],
-                            env=dict(os.environ, PYTHONPATH=path))
+                            env=dict(os.environ, PYTHONPATH=path),
+                            stderr=subprocess.PIPE, text=True)
     expected = min(2, len(os.sched_getaffinity(0)))  # two jobs
+    workers: list[str] = []
+    deadline = time.monotonic() + 60
     try:
-        workers: list[str] = []
-        deadline = time.monotonic() + 60
         while len(workers) < expected and time.monotonic() < deadline:
             time.sleep(0.05)
             workers = _children(proc.pid).read_text().split()
     finally:
-        proc.send_signal(sig)
-        proc.wait(timeout=60)
+        if len(workers) < expected:
+            proc.kill()
+    assert len(workers) == expected
+    return proc, workers
+
+
+def _workers_left(workers: list[str]) -> list[str]:
+    """The workers still alive after up to 30 s; they are killed, so that a
+    failed run does not leave them training."""
     deadline = time.monotonic() + 30
     while any(map(_alive, workers)) and time.monotonic() < deadline:
         time.sleep(0.05)
     left = [pid for pid in workers if _alive(pid)]
-    for pid in left:  # a failed run does not leave them training
+    for pid in left:
         os.kill(int(pid), signal.SIGKILL)
-    assert len(workers) == expected and left == []
+    return left
+
+
+_needs_proc_children = pytest.mark.skipif(
+    not _children(os.getpid()).exists(),
+    reason="the kernel lists no child processes under /proc")
+
+
+@_needs_proc_children
+@pytest.mark.parametrize("sig", [signal.SIGTERM, signal.SIGKILL], ids=["term", "kill"])
+def test_killed_experiment_leaves_no_worker(tmp_path, sig):
+    # the workers end with the command even when a signal kills it in
+    # the middle of a training
+    proc, workers = _start_long_experiment(tmp_path, 10 ** 6)
+    proc.send_signal(sig)
+    proc.communicate(timeout=60)
+    assert _workers_left(workers) == []
+
+
+@_needs_proc_children
+def test_interrupted_experiment_ends_at_once(tmp_path):
+    # a SIGINT to the command alone, not to its workers: the command kills
+    # them instead of waiting for their trainings, then exits 130
+    proc, workers = _start_long_experiment(tmp_path, 200_000)
+    try:
+        proc.send_signal(signal.SIGINT)
+        _, err = proc.communicate(timeout=10)
+    finally:
+        proc.kill()
+        left = _workers_left(workers)
+    assert proc.returncode == 130 and err == "interrupted\n"
+    assert left == [] and not (tmp_path / "exp").exists()
+
+
+@_needs_proc_children
+def test_lost_worker_exits_one(tmp_path):
+    # a worker killed as the out-of-memory killer would: one line of
+    # message, no traceback, nothing written
+    proc, workers = _start_long_experiment(tmp_path, 200_000)
+    try:
+        os.kill(int(workers[0]), signal.SIGKILL)
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+        left = _workers_left(workers)
+    assert proc.returncode == 1
+    assert err.startswith("worker failure: a worker process died") and err.count("\n") == 1
+    assert left == [] and not (tmp_path / "exp").exists()
 
 
 # 225 inputs x 10**15 units: 1.8e18 float64 parameters (1.58 EiB), more

@@ -1,5 +1,7 @@
 """Data layer: sampling, patches, synthetic scenes, file round-trips."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -364,6 +366,19 @@ def test_sparse_bad_csv(tmp_path):
         load_sparse(path)
     path.write_text("nope\n")
     with pytest.raises(ValueError):
+        load_sparse(path)
+
+
+@pytest.mark.parametrize("body, message", [
+    ("a,0,0,1\na,1,1\n", ":3: expected 4 fields"),
+    ("a,0,0,1\na,1,x,0\n", ":3: bad integer field"),
+    ("a,0,0,1\n" + "a" * 200_000 + ",1,1,0\n", ":3: field larger than field limit (131072)"),
+], ids=["three_fields", "bad_integer", "oversized_field"])
+def test_sparse_bad_line_is_named(tmp_path, body, message):
+    # the message names the file and the line
+    path = tmp_path / "bad.csv"
+    path.write_text("image_id,row,col,class\n" + body)
+    with pytest.raises(ValueError, match=re.escape(f"{path}{message}")):
         load_sparse(path)
 
 

@@ -80,6 +80,11 @@ def test_experiment_config_validation():
         _tiny_experiment(alphas=(0.0,))
     with pytest.raises(ValueError):
         _tiny_experiment(train=TrainConfig(num_classes=3, architecture=None))
+    # each (budget, trial, alpha) names one job, and each (budget, mode) one row
+    with pytest.raises(ValueError, match="alphas must not repeat a value"):
+        _tiny_experiment(alphas=(0.1, 0.1))
+    with pytest.raises(ValueError, match="labels_per_image must not repeat a value"):
+        _tiny_experiment(labels_per_image=(5, 5))
 
 
 @pytest.mark.parametrize("modes", [("semi_supervised",), ("supervised",)])
