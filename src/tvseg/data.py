@@ -307,14 +307,17 @@ def save_sparse(sls: SparseLabelSet, path) -> None:
 def load_sparse(path) -> SparseLabelSet:
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
+        rows, start = [], 1  # each row with the line it starts on; a quoted field may span lines
         try:
-            rows = list(reader)
+            for row in reader:
+                rows.append((start, row))
+                start = reader.line_num + 1
         except csv.Error as exc:  # e.g. a field over the csv module's size limit
             raise ValueError(f"{path}:{reader.line_num}: {exc}") from exc
-    if rows[:1] != [["image_id", "row", "col", "class"]]:
+    if [row for _, row in rows[:1]] != [["image_id", "row", "col", "class"]]:
         raise ValueError(f"{path}: expected header image_id,row,col,class")
     entries = []
-    for line_no, row in enumerate(rows[1:], start=2):
+    for line_no, row in rows[1:]:
         if not row:
             continue
         if len(row) != 4:

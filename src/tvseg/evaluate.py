@@ -113,6 +113,12 @@ class ExperimentConfig:
             raise ValueError(f"modes must be a non-empty subset of {MODES}")
         if not np.isfinite(self.alphas).all():
             raise ValueError("alphas must be finite")
+        labels = {}  # each alpha's row is told apart by its label alone
+        for a in self.alphas:
+            other = labels.setdefault(f"{a:g}", a)
+            if other != a:
+                raise ValueError(f"alphas {other!r} and {a!r} share the row label "
+                                 f"semi_supervised(alpha={a:g})")
         if "semi_supervised" in self.modes:
             if not self.alphas or any(a <= 0 for a in self.alphas):
                 raise ValueError("alphas must be positive for semi_supervised mode")

@@ -21,27 +21,33 @@ it.
 
 The layers split into a *trunk*, the leading conv, relu and pool layers,
 which take feature maps of any size, and a *head*, the first dense layer
-onward.  ``forward_trunk`` runs the trunk once over a whole image: every
-pool splits each map into its four 2x2 phase fragments (Giusti et al.
-2013, *Fast image scanning with deep max-pooling CNNs*), so the trunk
-output of every patch is a window of one fragment, bitwise equal to the
-trunk output of that patch alone.  ``forward_head`` classifies a stack
-of such windows.  Both keep no layer caches.  ``batch_forward`` runs the
-same layer code on patches, which the pool pools as the one-phase case
-of fragments.  A layer's ``backward`` returns only its input gradient; a
-trainable layer's ``param_grads`` writes its weight and bias gradients.
-A layer caches only arrays it read or wrote: a relu masks its backward
-by its output, and a pool sends each window's gradient to the first
-position, row-major, that equals the window's max.
+onward.  The trunk also runs in a *dense mode* on whole maps (Li et al.
+2014, *Highly efficient forward and backward propagation of
+convolutional neural networks for pixelwise classification*): with a
+dilation d that starts at 1, a conv reads its nine taps d apart, and a
+pool takes the stride-1 max over the four taps d apart and doubles d.
+The trunk output of the patch at (r, c) is then the trunk map at
+(r + S * i, c + S * j), S the final d, bitwise equal to the trunk output
+of that patch alone.  ``forward_trunk`` runs the dense trunk once over
+a whole image, ``trunk_windows`` cuts the patches' windows from its map,
+and ``forward_head`` classifies a stack of them; both passes keep no
+layer caches.  ``batch_forward`` runs the same layer code on patches,
+where a pool takes the 2x2 windows with stride 2.  A layer's
+``backward`` returns only its input gradient; a trainable layer's
+``param_grads`` writes its weight and bias gradients.  A layer caches
+only arrays it read or wrote: a relu masks its backward by its output,
+and a pool sends each window's gradient to the first position,
+row-major, that equals the window's max.
 
 ``forward_neighbourhoods`` classifies the nine patches of a 3x3 pixel
-neighbourhood from one (P + 2)-square crop: the trunk runs once per crop
-on fragments with its caches kept, and the head on the nine windows.
-``backward_neighbourhoods`` goes back the same way (Li et al. 2014): the
-head's input gradient is scatter-added into the fragments at the offsets
-``trunk_windows`` reads, and each pool sums the gradients of its four
-phases.  The result is the patch-wise gradient up to the order of
-summation, not bitwise.
+neighbourhood from one (P + 2)-square crop: the dense trunk runs once
+per crop with its caches kept, on only the rows and columns the nine
+patches read, and the head on the nine windows.
+``backward_neighbourhoods`` goes back the same way: the head's input
+gradient is scatter-added into the trunk map at the positions
+``trunk_windows`` reads, and each pool position sums the gradients of
+the windows it is the maximum of.  The result is the patch-wise
+gradient up to the order of summation, not bitwise.
 """
 
 import json
@@ -124,12 +130,17 @@ class _Trainable:
 class _Conv3x3(_Trainable):
     """Valid 3x3 convolution as nine 2-D products, one per kernel tap.
 
-    Each ``np.dot`` gets the operands ``np.tensordot`` would build for
-    that tap (same shapes, same memory order), so BLAS runs the same
-    call and the results are bitwise those of the tensordot form in
-    ``tests/oracles.py``.  The taps stay separate and in (i, j) order:
-    one GEMM over all nine sums in another order and is not bitwise.
+    The taps are ``d`` apart: 1 on patches, the dilation of the dense
+    mode on whole maps; the backward passes read ``d`` back from the
+    input and output sizes.  Each ``np.dot`` gets the operands
+    ``np.tensordot`` would build for that tap (same shapes, same memory
+    order), so BLAS runs the same call and the results are bitwise those
+    of the tensordot form in ``tests/oracles.py``.  The taps stay
+    separate and in (i, j) order: one GEMM over all nine sums in another
+    order and is not bitwise.
     """
+
+    reach = 2  # rows and columns the output loses, in units of d
 
     def __init__(self, in_shape, maps):
         h, w, c = in_shape
@@ -138,41 +149,48 @@ class _Conv3x3(_Trainable):
         self.out_shape = (h - 2, w - 2, maps)
         self.w_shape = (3, 3, c, maps)
 
-    def forward(self, x, images=0):
-        n, ho, wo, c = x.shape[0], x.shape[1] - 2, x.shape[2] - 2, x.shape[3]
+    def forward(self, x, d=1):
+        n, ho, wo, c = x.shape[0], x.shape[1] - 2 * d, x.shape[2] - 2 * d, x.shape[3]
         y = np.broadcast_to(self.b, (n, ho, wo, self.b.size)).copy()
         rows = y.reshape(-1, self.b.size)
-        for i in range(3):
-            for j in range(3):
-                rows += np.dot(x[:, i:i + ho, j:j + wo, :].reshape(-1, c), self.w[i, j])
+        for i, j, at in _conv_taps(d, ho, wo):
+            rows += np.dot(x[at].reshape(-1, c), self.w[i, j])
         return y, x
 
     def param_grads(self, dout, cache, gw, gb):
         x = cache
         _, ho, wo, maps = dout.shape
-        c = x.shape[3]
-        d = dout.reshape(-1, maps)
+        c, d = x.shape[3], (x.shape[1] - ho) // 2
+        rows = dout.reshape(-1, maps)
         gb[:] = dout.sum(axis=(0, 1, 2))
-        for i in range(3):
-            for j in range(3):
-                taps = x[:, i:i + ho, j:j + wo, :].transpose(3, 0, 1, 2)
-                gw[i, j] = np.dot(taps.reshape(c, -1), d)
+        for i, j, at in _conv_taps(d, ho, wo):
+            gw[i, j] = np.dot(x[at].transpose(3, 0, 1, 2).reshape(c, -1), rows)
 
     def backward(self, dout, cache):
         n, ho, wo, maps = dout.shape
-        d = dout.reshape(-1, maps)
+        d = (cache.shape[1] - ho) // 2
+        rows = dout.reshape(-1, maps)
         dx = np.zeros_like(cache)
-        for i in range(3):
-            for j in range(3):
-                dx[:, i:i + ho, j:j + wo, :] += np.dot(d, self.w[i, j].T).reshape(n, ho, wo, -1)
+        for i, j, at in _conv_taps(d, ho, wo):
+            dx[at] += np.dot(rows, self.w[i, j].T).reshape(n, ho, wo, -1)
         return dx
 
 
+def _conv_taps(d, ho, wo):
+    """(i, j, index) of the nine taps, in row-major order, of a conv with
+    taps ``d`` apart and an ho x wo output: the index cuts the input
+    positions that tap reads."""
+    return [(i, j, np.s_[:, i * d:i * d + ho, j * d:j * d + wo])
+            for i in range(3) for j in range(3)]
+
+
 class _ReLU:
+    reach = 0
+
     def __init__(self, in_shape, size):
         self.out_shape = in_shape
 
-    def forward(self, x, images=0):
+    def forward(self, x, d=0):  # elementwise: the dilation d changes nothing
         y = np.maximum(x, 0.0)
         return y, y
 
@@ -180,86 +198,62 @@ class _ReLU:
         return dout * (cache > 0.0)
 
 
-# the 2x2 offsets in row-major order: the four pool phases, and the
-# positions of a pool window in the order its maximum is looked for
-_PHASES = ((0, 0), (0, 1), (1, 0), (1, 1))
-
-
 class _MaxPool2x2:
+    reach = 1
+
     def __init__(self, in_shape, size):
         h, w, c = in_shape
         if h < 2 or w < 2:
             raise ValueError(f"maxpool2x2 input {h}x{w} smaller than window")
         self.out_shape = (h // 2, w // 2, c)
 
-    def forward(self, x, images=0):
-        """Max over the 2x2 windows of a patch batch, or of every phase of
-        the R x R phase fragments of ``images`` maps.
+    def forward(self, x, d=0):
+        """Max over the 2x2 windows of a patch batch (``d`` = 0: stride 2, a
+        trailing odd row or column dropped), or, in the dense mode, over
+        the four taps ``d`` apart at every position of whole maps.
 
-        With ``images`` > 0, ``x`` holds each map's fragments in a run of
-        R * R, fragment (fr, fc) at fr * R + fc of its run.  Phase (pr, pc)
-        of it becomes fragment (fr + R * pr, fc + R * pc) of the map's
-        2R x 2R output, and every phase is cut to the (h - 1) // 2 rows
-        and (w - 1) // 2 columns that all four have.  A patch batch is the
-        one-phase case of N maps with R = 1: windows at 2 * (i, j), cut to
-        h // 2 rows and w // 2 columns.
+        Of equal values (+0 and -0) np.maximum returns the second
+        argument, so the running max goes second and the first maximum in
+        tap order wins, sign bit included.
         """
-        n, h, wd, c = x.shape
-        s = 2 if images else 1  # phases per axis
-        images = images or n
-        r = math.isqrt(n // images)
-        ho, wo = (h - s + 1) // 2, (wd - s + 1) // 2
-        y = np.empty((images, s, r, s, r, ho, wo, c))
-        for pr, pc in _PHASES[:s * s]:
-            m = _max2x2(x[:, pr:pr + 2 * ho, pc:pc + 2 * wo])
-            y[:, pr, :, pc] = m.reshape(images, r, r, ho, wo, c)
-        return y.reshape(-1, ho, wo, c), (x, y)
+        m, *rest = (x[at] for at in _pool_taps(x.shape, d))
+        for v in rest:
+            m = np.maximum(v, m)
+        return m, (x, m, d)
 
     def backward(self, dout, cache):
-        """Input gradient: each phase's gradient unpooled into the
-        positions it read.  The first phase is assigned and the others
-        added, so the one phase of a patch batch keeps its signed zeros."""
-        x, y = cache
-        n, s, (ho, wo, c) = len(x), y.shape[1], y.shape[5:]
-        d = dout.reshape(y.shape)
+        """Input gradient: each output's gradient goes to the first tap
+        that equals its max; the last tap takes the rest.  The windows of
+        a patch batch are disjoint, and each tap's share is assigned, so
+        signed zeros stay; dense windows overlap, and each position adds
+        its shares to zero in tap order."""
+        x, y, d = cache
         dx = np.zeros_like(x)
-        for pr, pc in _PHASES[:s * s]:
-            at = np.s_[:, pr:pr + 2 * ho, pc:pc + 2 * wo]
-            part = _unpool(d[:, pr, :, pc].reshape(n, ho, wo, c), x[at],
-                           y[:, pr, :, pc].reshape(n, ho, wo, c))
-            if pr or pc:
+        free = np.ones(y.shape, dtype=bool)
+        for k, at in enumerate(_pool_taps(x.shape, d)):
+            hit = free & (x[at] == y) if k < 3 else free
+            part = np.where(hit, dout, 0.0)
+            if d:
                 dx[at] += part
             else:
                 dx[at] = part
+            free ^= hit
         return dx
 
 
-def _max2x2(x):
-    """Max of each 2x2 window of an (N, 2h, 2w, C) map.
+def _pool_taps(shape, d):
+    """Indices of the four taps of a pool over an (N, H, W, C) map, in
+    row-major order, the order its maximum is looked for.  Tap (a, b)
+    cuts the input positions at offset (a, b) of each 2x2 window of a
+    patch (``d`` = 0), or at offset (a * d, b * d) from each output
+    position of a dense map."""
+    h, w = shape[1:3]
+    if d:
+        return [np.s_[:, a * d:a * d + h - d, b * d:b * d + w - d] for a, b in _WINDOW]
+    return [np.s_[:, a:h - h % 2:2, b:w - w % 2:2] for a, b in _WINDOW]
 
-    Of equal values (+0 and -0) np.maximum returns the second argument,
-    so the running max goes second and the first maximum in row-major
-    order wins, sign bit included.
-    """
-    m, *rest = (x[:, a::2, b::2] for a, b in _PHASES)
-    for v in rest:
-        m = np.maximum(v, m)
-    return m
 
-
-def _unpool(dout, x, y):
-    """(N, 2h, 2w, C) map holding each (N, h, w, C) ``dout`` value at the
-    first position, row-major, of its 2x2 window of ``x`` that equals the
-    window's max ``y``, zero elsewhere; the last position takes the rest."""
-    n, h2, w2, c = dout.shape
-    dx = np.empty((n, 2 * h2, 2 * w2, c))
-    free = np.ones(dout.shape, dtype=bool)
-    for a, b in _PHASES[:-1]:
-        hit = free & (x[:, a::2, b::2] == y)
-        dx[:, a::2, b::2] = np.where(hit, dout, 0.0)
-        free ^= hit
-    dx[:, 1::2, 1::2] = np.where(free, dout, 0.0)
-    return dx
+_WINDOW = ((0, 0), (0, 1), (1, 0), (1, 1))  # a pool window's positions, row-major
 
 
 class _Dense(_Trainable):
@@ -268,7 +262,7 @@ class _Dense(_Trainable):
         self.out_shape = (units,)
         self.w_shape = (math.prod(in_shape), units)
 
-    def forward(self, x, images=0):
+    def forward(self, x):
         xf = x.reshape(x.shape[0], -1)
         return xf @ self.w + self.b, xf
 
@@ -286,7 +280,7 @@ class _Softmax:
             raise ValueError("softmax input must be a flat vector; add a dense layer first")
         self.out_shape = in_shape
 
-    def forward(self, x, images=0):
+    def forward(self, x):
         z = x - x.max(axis=1, keepdims=True)
         e = np.exp(z)
         p = e / e.sum(axis=1, keepdims=True)
@@ -314,7 +308,6 @@ class ForwardCache:
     version: int
     batch: int
     layer_caches: list
-    fragments: tuple = ()  # (B, S * S, h, w, c) trunk output of forward_neighbourhoods
 
 
 class Network:
@@ -359,14 +352,25 @@ class Network:
                 "the layer before softmax must emit one unit per class")
 
         # the trunk is the leading run of layers with a spatial output; on
-        # one patch it emits a trunk_shape map, and each of its pools
-        # doubles the pixel stride between the patches one fragment serves
+        # one patch it emits a trunk_shape map.  In the dense mode layer i
+        # runs at dilation _dilations[i], which each pool doubles; a patch's
+        # window of the dense trunk map spans _span positions with stride
+        # trunk_stride
         self._trunk = next(i for i, layer in enumerate(self._layers)
                            if len(layer.out_shape) != 3)
         self.trunk_shape = (self._layers[self._trunk - 1].out_shape if self._trunk
                             else (patch_size, patch_size, in_channels))
-        self.trunk_stride = 2 ** sum(isinstance(layer, _MaxPool2x2)
-                                     for layer in self._layers[:self._trunk])
+        self._dilations, d = [], 1
+        for layer in self._layers[:self._trunk]:
+            self._dilations.append(d)
+            d *= 2 if isinstance(layer, _MaxPool2x2) else 1
+        self.trunk_stride = d
+        self._span = d * (self.trunk_shape[0] - 1) + 1
+        # the side of a crop's leading rows and columns that the nine
+        # patches of a neighbourhood read: back from their trunk map, each
+        # layer adds its reach at its dilation
+        self._crop_side = self._span + 2 + sum(
+            layer.reach * d for layer, d in zip(self._layers, self._dilations))
 
         if params is None:
             params = np.zeros(total)
@@ -415,26 +419,20 @@ class Network:
             raise ValueError(f"expected maps of shape (N,) + {expect}, got {x.shape}")
         return x
 
-    def _forward(self, x, layers: range, caches=None, images=0):
+    def _forward(self, x, layers: range, caches=None, dense=False):
         """Run the ``layers`` (a range of indices) on the batch ``x``.
 
-        With ``images`` > 0, ``x`` holds the phase fragments of that many
-        maps and every pool splits them further.  Each layer's cache is
-        appended to ``caches`` unless it is None.
+        With ``dense``, ``x`` holds whole maps and the layers, all of the
+        trunk, run in the dense mode.  Each layer's cache is appended to
+        ``caches`` unless it is None.
         """
         for i in layers:
-            x, cache = self._layers[i].forward(x, images)
+            layer = self._layers[i]
+            x, cache = layer.forward(x, self._dilations[i]) if dense else layer.forward(x)
             if caches is not None:
                 caches.append(cache)
             del cache  # a pool's cache holds its input; a cache-free pass drops it here
         return x
-
-    def _pad_slack(self, maps):
-        """(N, H, W, C) maps with S - 1 zero rows and columns appended: the
-        pools cut their phases to a common size, and the slack keeps every
-        position a patch reads.  No patch reads the outputs the zeros reach."""
-        s = self.trunk_stride - 1
-        return np.pad(maps, ((0, 0), (0, s), (0, s), (0, 0)))
 
     def _backward(self, layers: range, caches, carry, grads):
         """Backpropagate ``carry`` through the ``layers`` (a range of
@@ -477,31 +475,30 @@ class Network:
         return grads
 
     def forward_trunk(self, image) -> np.ndarray:
-        """Trunk outputs of every patch of an (H, W, C) map, as phase
-        fragments for ``trunk_windows``, which reads the patches with
+        """Dense trunk map of an (H, W, C) image, from which
+        ``trunk_windows`` cuts the trunk outputs of the patches with
         top-left corners r <= H - P and c <= W - P.  Keeps no layer
         caches, so its working set is a few feature maps.
         """
-        return self._forward(self._pad_slack(image[None]), range(self._trunk), images=1)
+        return self._forward(image[None], range(self._trunk), dense=True)[0]
 
-    def trunk_windows(self, fragments, rows, cols) -> np.ndarray:
-        """Trunk outputs of the patches with top-left corners (rows, cols)
-        of the map whose (..., S * S, h, w, c) phase fragments these are.
+    def trunk_windows(self, maps, rows, cols) -> np.ndarray:
+        """Trunk outputs of the patches with top-left corners (rows, cols),
+        cut from the (..., H, W, c) dense trunk ``maps`` of their images:
+        the patch at (r, c) reads positions (r + S * i, c + S * j), with
+        S = ``trunk_stride`` and i, j below the side of ``trunk_shape``.
 
-        With S = ``trunk_stride``, the patch at (r, c) reads the
-        ``trunk_shape`` window at (r // S, c // S) of fragment
-        (r % S) * S + c % S.  Integer arrays give an (..., N) +
-        ``trunk_shape`` copy; Python integers give a view into
-        ``fragments``, through which a gradient can be added back, cut by
-        a plain slice: the neighbourhood passes take nine per step, and a
-        sliding-window view per window costs more than the step's pool.
+        Integer arrays give an (..., N) + ``trunk_shape`` copy; Python
+        integers give a view into ``maps``, through which a gradient can
+        be added back, cut by a plain slice: the neighbourhood passes take
+        nine per step, and a sliding-window view per window costs more
+        than the step's pool.
         """
-        s, k = self.trunk_stride, self.trunk_shape[0]
-        f, r, c = rows % s * s + cols % s, rows // s, cols // s
+        s, span = self.trunk_stride, self._span
         if isinstance(rows, int):
-            return fragments[..., f, r:r + k, c:c + k, :]
-        view = np.lib.stride_tricks.sliding_window_view(fragments, (k, k), axis=(-3, -2))
-        return np.moveaxis(view, -3, -1)[..., f, r, c, :, :, :]
+            return maps[..., rows:rows + span:s, cols:cols + span:s, :]
+        view = np.lib.stride_tricks.sliding_window_view(maps, (span, span), axis=(-3, -2))
+        return np.moveaxis(view[..., ::s, ::s], -3, -1)[..., rows, cols, :, :, :]
 
     def forward_head(self, windows) -> np.ndarray:
         """(N, K) class probabilities of (N,) + ``trunk_shape`` trunk outputs."""
@@ -512,30 +509,27 @@ class Network:
         of B (P + 2)-square crops, for ``backward_neighbourhoods``.
 
         Returns (9B, K), the nine patches of each crop in row-major order.
-        The trunk runs once per crop on phase fragments, keeping its layer
-        caches; the head runs on the nine windows gathered from them.
+        The dense trunk runs once per crop, keeping its layer caches, on
+        the leading rows and columns that the nine patches read; the head
+        runs on the nine windows gathered from its map.
         """
         x = self._check_batch(crops, self.patch_size + 2)
-        caches = []
-        fragments = self._forward(self._pad_slack(x), range(self._trunk), caches, len(x))
-        fragments = fragments.reshape((len(x), -1) + fragments.shape[1:])
+        side, caches = self._crop_side, []
+        maps = self._forward(x[:, :side, :side], range(self._trunk), caches, dense=True)
         windows = np.empty((len(x), 9) + self.trunk_shape)
         for t, corner in enumerate(_NEIGHBOURS):
-            windows[:, t] = self.trunk_windows(fragments, *corner)
+            windows[:, t] = self.trunk_windows(maps, *corner)
         probs = self._forward(windows.reshape((-1,) + self.trunk_shape),
                               range(self._trunk, len(self._layers)), caches)
-        return probs, ForwardCache(self._version, probs.shape[0], caches, fragments.shape)
+        return probs, ForwardCache(self._version, probs.shape[0], caches)
 
     def backward_neighbourhoods(self, cache: ForwardCache, grad_out) -> np.ndarray:
         """Parameter gradient of <grad_out, probs> for the output of
         ``forward_neighbourhoods``.
 
         The head's input gradient is scatter-added from the nine windows
-        into the fragments it was gathered from, then backpropagated
-        through the trunk, whose pools sum the gradients of their four
-        phases (Li et al. 2014, *Highly efficient forward and backward
-        propagation of convolutional neural networks for pixelwise
-        classification*).
+        into the trunk map they were gathered from, then backpropagated
+        through the dense trunk.
         """
         g = self._check_grad_out(cache, grad_out)
         grads = np.zeros_like(self.params)
@@ -543,12 +537,12 @@ class Network:
         windows = self._backward(range(self._trunk, len(self._layers)), caches, g, grads)
         if windows is not None:
             windows = windows.reshape((-1, 9) + self.trunk_shape)
-            fragments = np.zeros(cache.fragments)
+            side = self._span + 2
+            maps = np.zeros((len(windows), side, side, self.trunk_shape[2]))
             for t, corner in enumerate(_NEIGHBOURS):
-                window = self.trunk_windows(fragments, *corner)
+                window = self.trunk_windows(maps, *corner)
                 window += windows[:, t]
-            self._backward(range(self._trunk), caches,
-                           fragments.reshape((-1,) + cache.fragments[2:]), grads)
+            self._backward(range(self._trunk), caches, maps, grads)
         return grads
 
 

@@ -5,12 +5,13 @@ Each iteration draws a supervised minibatch from the sparse label set
 and, when the smoothness weight alpha is positive, a batch of interior
 pixels from all images; every unsupervised pixel contributes the
 penalty of its 3x3 output neighborhood.  The nine classifications of a
-neighborhood come from one (P + 2)-square crop around the pixel, whose
-trunk runs once on pool-phase fragments
-(``Network.forward_neighbourhoods``); the penalty's coefficients are
-backpropagated through the head and those fragments.  Supervised and
-unsupervised gradients are averaged within their own batches before
-combining, so alpha means the same thing at any batch size.
+neighborhood come from one (P + 2)-square crop around the pixel: the
+trunk runs once per crop, dilated, over just the rows and columns the
+nine patches read (``Network.forward_neighbourhoods``), and the
+penalty's coefficients are backpropagated through the head and that
+trunk map.  Supervised and unsupervised gradients are averaged within
+their own batches before combining, so alpha means the same thing at
+any batch size.
 
 Supervised and unsupervised draws use independent RNG streams derived
 from the config seed, so an alpha=0 run follows the exact parameter
@@ -297,12 +298,12 @@ def predict_image(net: Network, image) -> np.ndarray:
     filled = 0  # trunk windows in block, of the pixels just before flat
     for r0 in range(0, h, band):
         r1 = min(r0 + band, h)
-        fragments = net.forward_trunk(padded[r0:r1 + p - 1])
+        maps = net.forward_trunk(padded[r0:r1 + p - 1])
         flat = r0 * w
         while flat < r1 * w:
             take = min(_PREDICT_CHUNK - filled, r1 * w - flat)
             rows, cols = np.divmod(np.arange(flat, flat + take) - r0 * w, w)
-            block[filled:filled + take] = net.trunk_windows(fragments, rows, cols)
+            block[filled:filled + take] = net.trunk_windows(maps, rows, cols)
             filled += take
             flat += take
             if filled == _PREDICT_CHUNK or flat == h * w:

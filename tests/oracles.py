@@ -92,19 +92,22 @@ def tv_step_patchwise(net, image, centers) -> tuple[float, np.ndarray]:
     return value, net.batch_backward(cache, coeffs)
 
 
-def conv3x3(x, w, b) -> np.ndarray:
-    """Valid 3x3 convolution of an (N, H, W, C) map with (3, 3, C, M)
-    weights and (M,) biases: the bias plus the nine taps' ``tensordot``
-    products over the channel axis, added in row-major tap order."""
-    n, ho, wo = x.shape[0], x.shape[1] - 2, x.shape[2] - 2
+def conv3x3(x, w, b, d=1) -> np.ndarray:
+    """Valid 3x3 convolution, taps ``d`` apart, of an (N, H, W, C) map
+    with (3, 3, C, M) weights and (M,) biases: the bias plus the nine
+    taps' ``tensordot`` products over the channel axis, added in
+    row-major tap order; tap (i, j) reads the input at offset
+    (i * d, j * d) from each output position."""
+    n, ho, wo = x.shape[0], x.shape[1] - 2 * d, x.shape[2] - 2 * d
     y = np.broadcast_to(b, (n, ho, wo, b.size)).copy()
     for i in range(3):
         for j in range(3):
-            y += np.tensordot(x[:, i:i + ho, j:j + wo, :], w[i, j], axes=([3], [0]))
+            y += np.tensordot(x[:, i * d:i * d + ho, j * d:j * d + wo, :], w[i, j],
+                              axes=([3], [0]))
     return y
 
 
-def conv3x3_param_grads(dout, x) -> tuple[np.ndarray, np.ndarray]:
+def conv3x3_param_grads(dout, x, d=1) -> tuple[np.ndarray, np.ndarray]:
     """Weight and bias gradients of ``conv3x3`` for the output gradient
     ``dout``: each tap's ``tensordot`` of its input window with ``dout``
     over the batch and spatial axes, and ``dout`` summed over them."""
@@ -112,19 +115,21 @@ def conv3x3_param_grads(dout, x) -> tuple[np.ndarray, np.ndarray]:
     gw = np.empty((3, 3, x.shape[3], maps))
     for i in range(3):
         for j in range(3):
-            gw[i, j] = np.tensordot(x[:, i:i + ho, j:j + wo, :], dout,
+            gw[i, j] = np.tensordot(x[:, i * d:i * d + ho, j * d:j * d + wo, :], dout,
                                     axes=([0, 1, 2], [0, 1, 2]))
     return gw, dout.sum(axis=(0, 1, 2))
 
 
-def conv3x3_backward(dout, x, w) -> np.ndarray:
+def conv3x3_backward(dout, x, w, d=1) -> np.ndarray:
     """Input gradient of ``conv3x3``: each tap's ``tensordot`` of ``dout``
-    with its weights over the map axis, added into the window it read."""
+    with its weights over the map axis, added into the window it read,
+    in row-major tap order."""
     _, ho, wo, _ = dout.shape
     dx = np.zeros_like(x)
     for i in range(3):
         for j in range(3):
-            dx[:, i:i + ho, j:j + wo, :] += np.tensordot(dout, w[i, j], axes=([3], [1]))
+            dx[:, i * d:i * d + ho, j * d:j * d + wo, :] += np.tensordot(dout, w[i, j],
+                                                                         axes=([3], [1]))
     return dx
 
 
@@ -151,6 +156,32 @@ def maxpool_argmax_backward(dout, idx, in_shape) -> np.ndarray:
     dx = np.zeros(in_shape)
     dx[:, :2 * h2, :2 * w2] = (win.reshape(n, h2, w2, c, 2, 2)
                                .transpose(0, 1, 4, 2, 5, 3).reshape(n, 2 * h2, 2 * w2, c))
+    return dx
+
+
+def dilated_maxpool_argmax(x, d) -> tuple[np.ndarray, np.ndarray]:
+    """Stride-1 max pool of an (N, H, W, C) map over the taps (0, 0),
+    (0, d), (d, 0) and (d, d) from each of its (H - d) x (W - d) output
+    positions, and the argmax index k of each: the taps' values are
+    stacked along a last axis in that order, argmax takes the first
+    maximum and ``take_along_axis`` reads it."""
+    _, h, w, _ = x.shape
+    win = np.stack([x[:, a:a + h - d, b:b + w - d] for a, b in ((0, 0), (0, d), (d, 0), (d, d))],
+                   axis=4)
+    idx = win.argmax(axis=4)
+    return np.take_along_axis(win, idx[..., None], axis=4)[..., 0], idx
+
+
+def dilated_maxpool_argmax_backward(dout, idx, in_shape, d) -> np.ndarray:
+    """Input gradient of ``dilated_maxpool_argmax``: ``np.add.at`` adds
+    each ``dout`` value into a zero map at the tap its index names, the
+    values of tap 0 first, then those of taps 1, 2 and 3, so each input
+    position sums its shares in tap order."""
+    n, r, c, ch = np.indices(dout.shape)
+    dx = np.zeros(in_shape)
+    for k, (a, b) in enumerate(((0, 0), (0, d), (d, 0), (d, d))):
+        at = idx == k
+        np.add.at(dx, (n[at], r[at] + a, c[at] + b, ch[at]), dout[at])
     return dx
 
 

@@ -501,6 +501,18 @@ def test_experiment_rejects_repeated_alphas_before_training(tmp_path, monkeypatc
     assert list(tmp_path.iterdir()) == []
 
 
+def test_experiment_rejects_alphas_sharing_a_row_label(tmp_path, monkeypatch, capsys):
+    # 0.1 and 0.1000001 are two arms but both rows would read alpha=0.1
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained before the alphas were checked")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr("tvseg.evaluate.train", no_training)
+    assert main(["experiment", "--out", "e", "--trials", "1", "--alphas", "0.1,0.1000001"]) == 1
+    assert "alphas 0.1 and 0.1000001 share the row label" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 _MISSING = object()
 _BAD_META = [(field, _MISSING) for field in ("version", "specs", "patch_size", "num_classes",
                                              "in_channels", "seed")]

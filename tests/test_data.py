@@ -373,9 +373,13 @@ def test_sparse_bad_csv(tmp_path):
     ("a,0,0,1\na,1,1\n", ":3: expected 4 fields"),
     ("a,0,0,1\na,1,x,0\n", ":3: bad integer field"),
     ("a,0,0,1\n" + "a" * 200_000 + ",1,1,0\n", ":3: field larger than field limit (131072)"),
-], ids=["three_fields", "bad_integer", "oversized_field"])
+    ('"a\nb",0,0,1\nc,1,x,0\n', ":4: bad integer field"),
+    ('"a\nb",0,0,1\nc,1,1\n', ":4: expected 4 fields"),
+], ids=["three_fields", "bad_integer", "oversized_field", "bad_integer_after_two_line_id",
+        "three_fields_after_two_line_id"])
 def test_sparse_bad_line_is_named(tmp_path, body, message):
-    # the message names the file and the line
+    # the message names the file and the line the bad row starts on,
+    # also after a quoted id that spans lines 2 and 3
     path = tmp_path / "bad.csv"
     path.write_text("image_id,row,col,class\n" + body)
     with pytest.raises(ValueError, match=re.escape(f"{path}{message}")):

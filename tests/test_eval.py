@@ -1,5 +1,7 @@
 """Pixel error and the experiment protocol on a tiny configuration."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -85,6 +87,10 @@ def test_experiment_config_validation():
         _tiny_experiment(alphas=(0.1, 0.1))
     with pytest.raises(ValueError, match="labels_per_image must not repeat a value"):
         _tiny_experiment(labels_per_image=(5, 5))
+    # distinct alphas whose rows would carry one label
+    with pytest.raises(ValueError, match=re.escape(
+            "alphas 0.1 and 0.1000001 share the row label semi_supervised(alpha=0.1)")):
+        _tiny_experiment(alphas=(0.1, 0.1000001))
 
 
 @pytest.mark.parametrize("modes", [("semi_supervised",), ("supervised",)])

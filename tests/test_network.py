@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import (conv3x3, conv3x3_backward, conv3x3_param_grads, maxpool_argmax,
-                     maxpool_argmax_backward)
+from oracles import (conv3x3, conv3x3_backward, conv3x3_param_grads, dilated_maxpool_argmax,
+                     dilated_maxpool_argmax_backward, maxpool_argmax, maxpool_argmax_backward)
 from tvseg.errors import NumericalError
 from tvseg.network import (LAYER_KINDS, LayerSpec, Network, _Conv3x3, _MaxPool2x2, _ReLU,
                            _Trainable, default_specs, load_checkpoint, save_checkpoint, sgd_step,
@@ -145,51 +145,57 @@ def test_backward_skips_only_unread_layer0_input_grad(specs, patch):
 
 @settings(max_examples=200, deadline=None)
 @given(n=st.integers(1, 9), h=st.integers(3, 12), w=st.integers(3, 12),
-       c=st.sampled_from([1, 3, 8]), maps=st.integers(1, 8), sliced=st.booleans(),
-       seed=st.integers(0, 2 ** 16))
-def test_conv_matches_tensordot_oracle(n, h, w, c, maps, sliced, seed):
+       c=st.sampled_from([1, 3, 8]), maps=st.integers(1, 8), d=st.sampled_from([1, 2, 4]),
+       sliced=st.booleans(), seed=st.integers(0, 2 ** 16))
+def test_conv_matches_tensordot_oracle(n, h, w, c, maps, d, sliced, seed):
     # forward, weight, bias and input gradients byte for byte against the
-    # tensordot form, on a contiguous input and on a strided slice of one
+    # tensordot form, with taps d apart (1 on patches, the dilation of the
+    # dense mode on whole maps), on a contiguous input and on a strided
+    # slice of one; the input grows with d so the output stays (h - 2) x (w - 2)
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal((n, h + 2, 2 * w, c))
-    x = x[:, 1:h + 1, ::2] if sliced else np.ascontiguousarray(x[:, :h, :w])
+    hi, wi = h + 2 * (d - 1), w + 2 * (d - 1)
+    x = rng.standard_normal((n, hi + 2, 2 * wi, c))
+    x = x[:, 1:hi + 1, ::2] if sliced else np.ascontiguousarray(x[:, :hi, :wi])
     assert x.flags.c_contiguous != sliced
     wt, b = rng.standard_normal((3, 3, c, maps)), rng.standard_normal(maps)
     conv = _Conv3x3((h, w, c), maps)
     conv.w, conv.b = wt, b
 
-    y, cache = conv.forward(x)
-    assert y.tobytes() == conv3x3(x, wt, b).tobytes()
+    y, cache = conv.forward(x, d)
+    assert y.shape == (n, h - 2, w - 2, maps)
+    assert y.tobytes() == conv3x3(x, wt, b, d).tobytes()
     dout = rng.standard_normal(y.shape)
     gw, gb = np.full(wt.shape, np.nan), np.full(maps, np.nan)
     conv.param_grads(dout, cache, gw, gb)
     dx = conv.backward(dout, cache)
-    expect_gw, expect_gb = conv3x3_param_grads(dout, x)
+    expect_gw, expect_gb = conv3x3_param_grads(dout, x, d)
     assert gw.tobytes() == expect_gw.tobytes()
     assert gb.tobytes() == expect_gb.tobytes()
-    assert dx.tobytes() == conv3x3_backward(dout, x, wt).tobytes()
+    assert dx.tobytes() == conv3x3_backward(dout, x, wt, d).tobytes()
 
 
 _TIES = np.array([-1.0, -0.0, 0.0, 0.5])
 
 
 @settings(max_examples=200, deadline=None)
-@given(n=st.integers(1, 4), one_image=st.booleans(), h=st.integers(3, 10),
+@given(n=st.integers(1, 4), d=st.sampled_from([1, 2, 4]), h=st.integers(3, 10),
        w=st.integers(3, 10), c=st.integers(1, 8), tie_share=st.sampled_from([0.5, 0.9, 1.0]),
        seed=st.integers(0, 2 ** 16))
-def test_pool_matches_argmax_oracle(n, one_image, h, w, c, tie_share, seed):
-    # forward and backward, on patches and on every phase of the R x R
-    # fragments of ``images`` maps (four maps may be the 2 x 2 fragments
-    # of one), byte for byte against the argmax pool: on ties of equal
+def test_pool_matches_argmax_oracle(n, d, h, w, c, tie_share, seed):
+    # forward and backward, on patches and in the dense mode with taps d
+    # apart, byte for byte against the argmax pools: on ties of equal
     # values and of +0 and -0 the first maximum wins, sign bit included,
-    # and the gradient goes back to where the maximum came from; of the
-    # phases' gradients the first is assigned and the others added
-    images, r = (1, 2) if n == 4 and one_image else (n, 1)
+    # and the gradient goes back to where the maximum came from; a dense
+    # position, the maximum of up to four windows, sums their gradients
+    # in tap order
     rng = np.random.default_rng(seed)
-    x = np.where(rng.uniform(size=(n, h, w, c)) < tie_share,
-                 rng.choice(_TIES, size=(n, h, w, c)), rng.uniform(-1.0, 1.0, (n, h, w, c)))
-    pool = _MaxPool2x2((h, w, c), 0)
 
+    def tied(shape):
+        return np.where(rng.uniform(size=shape) < tie_share, rng.choice(_TIES, size=shape),
+                        rng.uniform(-1.0, 1.0, shape))
+
+    x = tied((n, h, w, c))
+    pool = _MaxPool2x2((h, w, c), 0)
     y, cache = pool.forward(x)
     expect, idx = maxpool_argmax(x)
     assert y.tobytes() == expect.tobytes()
@@ -197,40 +203,35 @@ def test_pool_matches_argmax_oracle(n, one_image, h, w, c, tie_share, seed):
     assert (pool.backward(dout, cache).tobytes()
             == maxpool_argmax_backward(dout, idx, x.shape).tobytes())
 
-    out, cache = pool.forward(x, images)
-    ho, wo = (h - 1) // 2, (w - 1) // 2
+    # the dense input grows with d so the output stays (h - 1) x (w - 1)
+    x = tied((n, h + d - 1, w + d - 1, c))
+    out, cache = pool.forward(x, d)
+    expect, idx = dilated_maxpool_argmax(x, d)
+    assert out.shape == (n, h - 1, w - 1, c)
+    assert out.tobytes() == expect.tobytes()
     dout = np.where(rng.uniform(size=out.shape) < 0.5, rng.choice(_TIES[1:3], size=out.shape),
                     rng.standard_normal(out.shape))
-    phases = out.reshape(images, 2, r, 2, r, ho, wo, c)
-    douts = dout.reshape(phases.shape)
-    dx = np.zeros_like(x)
-    for pr, pc in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        xs = x[:, pr:pr + 2 * ho, pc:pc + 2 * wo]
-        expect, idx = maxpool_argmax(xs)
-        assert (phases[:, pr, :, pc].tobytes()
-                == expect.reshape(images, r, r, ho, wo, c).tobytes())
-        part = maxpool_argmax_backward(douts[:, pr, :, pc].reshape(n, ho, wo, c), idx, xs.shape)
-        if pr or pc:
-            dx[:, pr:pr + 2 * ho, pc:pc + 2 * wo] += part
-        else:
-            dx[:, pr:pr + 2 * ho, pc:pc + 2 * wo] = part
-    assert pool.backward(dout, cache).tobytes() == dx.tobytes()
+    assert (pool.backward(dout, cache).tobytes()
+            == dilated_maxpool_argmax_backward(dout, idx, x.shape, d).tobytes())
 
 
 @pytest.mark.parametrize("shape", [(1, 9, 8, 1), (2, 12, 13, 3), (4, 7, 7, 8)])
 def test_pool_fragments_max_matches_argmax(shape):
-    # the pool takes the maxima directly; on ties of equal values and of
-    # +0 and -0 every phase keeps argmax's first maximum, sign bits included
+    # the dense pool takes the maxima directly; on maps of nothing but
+    # ties of equal values and of +0 and -0, at each dilation a trunk of
+    # up to three pools uses, every output keeps argmax's first maximum,
+    # sign bits included, and its gradient goes where that maximum came from
     rng = np.random.default_rng(sum(shape))
     x = rng.choice(_TIES, size=shape)
-    n, h, w, c = shape
-    ho, wo = (h - 1) // 2, (w - 1) // 2
-    out, _ = _MaxPool2x2(shape[1:], 0).forward(x, n)
-    phases = out.reshape(n, 2, 1, 2, 1, ho, wo, c)
-    for pr, pc in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        expect, _ = maxpool_argmax(x[:, pr:pr + 2 * ho, pc:pc + 2 * wo])
-        assert phases[:, pr, 0, pc].tobytes() == expect.tobytes()
-    assert np.signbit(out).any() and not np.signbit(out).all()
+    pool = _MaxPool2x2(shape[1:], 0)
+    for d in (1, 2, 4):
+        out, cache = pool.forward(x, d)
+        expect, idx = dilated_maxpool_argmax(x, d)
+        assert out.tobytes() == expect.tobytes()
+        assert np.signbit(out).any() and not np.signbit(out).all()
+        dout = rng.choice(_TIES, size=out.shape)
+        assert (pool.backward(dout, cache).tobytes()
+                == dilated_maxpool_argmax_backward(dout, idx, x.shape, d).tobytes())
 
 
 def test_relu_backward_masks_by_positive_input():

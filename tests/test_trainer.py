@@ -426,6 +426,41 @@ def test_tv_step_matches_patchwise_oracle(arch, channels, h, w, seed, data):
     assert np.abs(grads - ref_grads).max() <= 1e-12 * np.abs(ref_grads).max()
 
 
+def _read_side(specs, patch_size):
+    """Rows (and columns) of a (P + 2)-square crop that the nine patches
+    of its neighbourhood read: the side of one patch's trunk output, then
+    back through the trunk, where a conv reads two more rows and a pool
+    twice as many, and the nine patches span two more rows than one."""
+    trunk = [s.kind for s in specs[:[s.kind for s in specs].index("dense")]]
+    side = patch_size
+    for kind in trunk:
+        side = {"conv3x3": side - 2, "maxpool2x2": side // 2}.get(kind, side)
+    for kind in reversed(trunk):
+        side = {"conv3x3": side + 2, "maxpool2x2": 2 * side}.get(kind, side)
+    return side + 2
+
+
+@settings(max_examples=80, deadline=None)
+@given(arch=_architectures(), channels=st.sampled_from([1, 3]), batch=st.integers(1, 6),
+       seed=st.integers(0, 2 ** 16))
+@example(arch=(default_specs(2), 15, 2), channels=1, batch=6, seed=0)
+def test_tv_step_reads_only_the_crop_side(arch, channels, batch, seed):
+    # the rows and columns of each crop beyond the side that its nine
+    # patches read are never computed: NaN there leaves the value and the
+    # gradient bytes as they are on the clean crops
+    specs, patch_size, num_classes = arch
+    rng = np.random.default_rng(seed)
+    net = Network.init(specs, patch_size, num_classes, seed=seed, in_channels=channels)
+    crops = rng.uniform(size=(batch, patch_size + 2, patch_size + 2, channels))
+    value, grads = trainer._tv_step(net, crops, 1.0)
+    side = _read_side(specs, patch_size)
+    crops[:, side:] = np.nan
+    crops[:, :, side:] = np.nan
+    got_value, got_grads = trainer._tv_step(net, crops, 1.0)
+    assert np.float64(got_value).tobytes() == np.float64(value).tobytes()
+    assert got_grads.tobytes() == grads.tobytes()
+
+
 def test_train_makes_one_tv_call_per_iteration(monkeypatch):
     # one batched Sobel call per iteration, whatever the batch size and K;
     # the per-window TotalVariation methods are never called
