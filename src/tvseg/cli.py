@@ -246,7 +246,10 @@ def cmd_mrf(args) -> int:
     for f in sorted(probs_dir.glob("*.pgm")):
         m = re.fullmatch(r"(.+)_class(\d+)\.pgm", f.name)
         if m:
-            groups.setdefault(m.group(1), {})[int(m.group(2))] = f
+            k = int(m.group(2))
+            other = groups.setdefault(m.group(1), {}).setdefault(k, f)
+            if other != f:
+                raise ValueError(f"{other.name} and {f.name} both name class {k}")
     if not groups:
         raise ValueError(f"no probability maps (*_class<k>.pgm) found in {probs_dir}")
     for stem, by_class in sorted(groups.items()):  # all checked before any is written

@@ -90,44 +90,43 @@ def _icm(probs: np.ndarray, cfg: MrfConfig) -> tuple[np.ndarray, int]:
     labels = argmax_labels(probs)
     if cfg.beta == 0:
         return labels, 0
-    unary = -np.log(np.maximum(np.asarray(probs, dtype=np.float64), _PROB_FLOOR))
-    h, w, k = unary.shape
     beta = float(cfg.beta)
 
-    # the frozen test, in the float64 additions a visit makes
-    degree = np.full((h, w), 4)
-    degree[0] -= 1
-    degree[-1] -= 1
-    degree[:, 0] -= 1
-    degree[:, -1] -= 1
+    # All state lives in the raster index space of the map with a
+    # one-pixel border.  The border's label is class k, which disagrees
+    # with no class, so a missing neighbor adds nothing; the border is
+    # never live, so its costs are never read.  Pixel p's k unary costs
+    # are costs[p * k:p * k + k].  Scalar Python floats are IEEE doubles,
+    # so a visit's cost is the unary plus beta added once per disagreeing
+    # neighbor, exactly as in the frozen test.
+    bordered = np.pad(np.asarray(probs, dtype=np.float64), ((1, 1), (1, 1), (0, 0)))
+    bordered = -np.log(np.maximum(bordered, _PROB_FLOOR))
+    unary = bordered[1:-1, 1:-1]
+    h, w, k = unary.shape
+
+    # the frozen test: beta added once per neighbor the pixel has
     own = np.take_along_axis(unary, labels[:, :, None], axis=2)[:, :, 0]
-    bound = own
-    for d in range(4):
-        bound = np.where(degree > d, bound + beta, bound)
+    bound = own.copy()
+    bound[1:] += beta
+    bound[:-1] += beta
+    bound[:, 1:] += beta
+    bound[:, :-1] += beta
     rival = np.full((h, w), np.inf)
     for j in range(k):
         rival = np.minimum(rival, np.where(labels == j, np.inf, unary[:, :, j]))
     frozen = rival > bound
 
-    # The map gets a one-pixel border of class k, which disagrees with no
-    # class, so a missing neighbor adds nothing; the border is never live.
-    # Settled pixels are those the start rule lets wait.
+    # settled pixels are those the start rule lets wait
     padded = np.pad(labels, 1, constant_values=k)
     settled = rival >= own
     for near in (padded[:-2, 1:-1], padded[2:, 1:-1], padded[1:-1, :-2], padded[1:-1, 2:]):
         settled &= (near == labels) | (near == k)
 
-    # Flat raster indices into the bordered map.  The unary costs of the
-    # live pixels lie in one flat list, k per pixel from start[p].  Scalar
-    # Python floats are IEEE doubles, so each cost is the unary plus beta
-    # added once per disagreeing neighbor, exactly as in the frozen test.
     stride = w + 2
     field = bytearray(padded.tobytes())
-    live_map = np.pad(~frozen, 1)
-    live = bytearray(live_map.tobytes())
+    live = bytearray(np.pad(~frozen, 1).tobytes())
     dirty = bytearray(np.pad(~(frozen | settled), 1).tobytes())
-    costs = unary[~frozen].ravel().tolist()
-    start = ((np.cumsum(live_map) - 1) * k).tolist()
+    costs = memoryview(bordered.reshape(-1))
     others = [[j for j in range(k) if j != a] for a in range(k)] + [[]]
     sweeps = 0
     while sweeps < cfg.max_iters:
@@ -136,7 +135,7 @@ def _icm(probs: np.ndarray, cfg: MrfConfig) -> tuple[np.ndarray, int]:
         changed = False
         p = dirty.find(1)
         while p >= 0:
-            cost = costs[start[p]:start[p] + k]
+            cost = costs[p * k:p * k + k].tolist()
             for j in others[field[p - stride]]:
                 cost[j] += beta
             for j in others[field[p + stride]]:

@@ -40,10 +40,9 @@ def _read_tokens(buf: bytes, count: int, start: int) -> tuple[list[int], int]:
             j += 1
         if j == i:
             raise PnmError("truncated header")
-        try:
-            tokens.append(int(buf[i:j]))
-        except ValueError as exc:
-            raise PnmError(f"bad header token {buf[i:j]!r}") from exc
+        if not buf[i:j].isdigit():  # ASCII digits only: no sign, no underscore
+            raise PnmError(f"bad header token {buf[i:j]!r}")
+        tokens.append(int(buf[i:j]))
         i = j
     if i < n and buf[i] == ord("#"):
         i = _skip_comment(buf, i)

@@ -648,6 +648,11 @@ _EMPTY_INPUTS = {
     "mrf_class_gap": (lambda d: _probs_dir(d / "in", {"a": [0, 1], "b": [0, 2]}),
                       ["mrf", "--probs", "in", "--beta", "1", "--out", "out"],
                       "b: class maps must cover 0..K-1, got [0, 2]"),
+    "mrf_class_named_twice": (lambda d: (_probs_dir(d / "in", {"a": [0, 1]}),
+                                         (d / "in" / "a_class01.pgm").write_bytes(
+                                             (d / "in" / "a_class1.pgm").read_bytes())),
+                              ["mrf", "--probs", "in", "--beta", "1", "--out", "out"],
+                              "a_class01.pgm and a_class1.pgm both name class 1"),
     "eval_no_common_stems": (lambda d: (_labels_dir(d / "in", ["a_labels"]),
                                         _labels_dir(d / "truth", ["b"])),
                              ["eval", "--pred", "in", "--truth", "truth", "--out", "out/e.csv"],

@@ -315,6 +315,15 @@ def test_pnm_rejects_each_malformed_input(tmp_path, op, message):
         assert not path.exists()
 
 
+@pytest.mark.parametrize("width", [b"1_0", b"+10"])
+def test_pnm_header_token_is_ascii_digits(tmp_path, width):
+    # int() would read both as 10; the format allows decimal digits only
+    path = tmp_path / "x.pgm"
+    path.write_bytes(b"P5\n" + width + b" 1\n255\n" + bytes(10))
+    with pytest.raises(PnmError, match="bad header token"):
+        read_pnm(path)
+
+
 def test_image_roundtrip_8bit(tmp_path):
     rng = np.random.default_rng(3)
     img = np.rint(rng.uniform(size=(5, 6, 1)) * 255) / 255.0

@@ -1,9 +1,16 @@
 """ICM smoothing under the Potts energy."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import tvseg
 from oracles import icm_labels, icm_loop
 from tvseg.mrf import MrfConfig, _icm, argmax_labels, icm_smooth, potts_energy
 
@@ -204,3 +211,27 @@ def test_icm_at_the_frozen_margin_matches_both_oracles(data, h, w, k, beta, iter
     assert got.tobytes() == want.tobytes()
     assert got.tobytes() == icm_labels(p, beta, iters).tobytes()
     assert sweeps == want_sweeps
+
+
+_LARGE_ICM = """
+import json, resource
+import numpy as np
+from tvseg.mrf import MrfConfig, icm_smooth
+probs = np.random.default_rng(1).dirichlet(np.ones(2), size=(2048, 2048))
+labels = icm_smooth(probs, MrfConfig(1.0, 1))
+print(json.dumps({"maxrss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+                  "shape": labels.shape, "changed": int((labels != probs.argmax(2)).sum())}))
+"""
+
+
+def test_icm_large_map_memory_bound():
+    # one sweep over a 2048x2048 noisy two-class map in a fresh process
+    # peaks under 400 MB, the bound a predict of that size keeps
+    src = str(Path(tvseg.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=path)
+    run = subprocess.run([sys.executable, "-c", _LARGE_ICM], env=env, check=True,
+                         capture_output=True, text=True, timeout=600)
+    res = json.loads(run.stdout)
+    assert res["maxrss_kb"] < 400 * 1024
+    assert res["shape"] == [2048, 2048] and res["changed"] > 0
