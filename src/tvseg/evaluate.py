@@ -26,7 +26,8 @@ process keeps every sparse draw and seed and keys each job's errors by
 its trial columns by key, so ``results.csv`` is byte-identical at any
 worker count and BLAS thread count.  The workers end with this process,
 also when a signal kills it; an exception here, a SIGINT included, kills
-them first.
+them first.  They train without the trainer's TV helper process: the
+pool already keeps every CPU busy.
 """
 
 import os
@@ -35,6 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import trainer
 from .data import (LabeledImage, SparseLabelSet, SynthConfig, UNLABELED,
                    check_split_sizes, load_dataset, merge_sparse, sample_sparse_labels,
                    synth_dataset)
@@ -179,24 +181,15 @@ def _check_labels(images: dict[str, LabeledImage], k: int, what: str) -> None:
 # The experiment and its images, set in each worker by ``_share``.  Under
 # the fork start method they reach the workers with the forked memory.
 _shared = None
-_PR_SET_PDEATHSIG = 1  # from <linux/prctl.h>
 
 
 def _share(parent: int, cfg: ExperimentConfig, train_images: dict[str, LabeledImage],
            test_images: dict[str, LabeledImage]) -> None:
-    """Worker set-up: keep the experiment, and die with ``parent``.
-
-    A pool worker whose parent was killed by a signal would go on
-    training and then wait for work forever, so the kernel is asked to
-    kill it when the parent goes.
-    """
-    import ctypes
-    import signal
-
+    """Worker set-up: keep the experiment, die with ``parent``, and train
+    without a TV helper process, since the pool already fills every CPU."""
     global _shared
-    ctypes.CDLL(None).prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
-    if os.getppid() != parent:  # the parent went before the prctl
-        os._exit(1)
+    trainer._die_with(parent)
+    trainer._overlap = False
     _shared = cfg, train_images, test_images
 
 

@@ -16,8 +16,20 @@ any batch size.
 Supervised and unsupervised draws use independent RNG streams derived
 from the config seed, so an alpha=0 run follows the exact parameter
 trajectory of a purely supervised run with the same seed.
+
+The two gradients of one iteration depend only on its parameters, so
+with alpha > 0 the TV step runs in a forked helper process (``_TvHelper``)
+while this process runs the supervised step, when there is a CPU for it:
+at least two in the affinity mask, one Python thread, x86-64, and not a
+worker of ``run_experiment``, whose pool already fills every CPU; and
+when the training is long enough to pay for the fork.  This
+process keeps both RNG streams and draws every index itself, so the
+parameters and the report are the inline loop's bit for bit.
 """
 
+import os
+import signal
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +46,16 @@ _PROB_FLOOR = 1e-12  # clamp for log/reciprocal of tiny probabilities
 
 _PREDICT_CHUNK = 2048  # pixels per head forward pass in predict_image
 _BAND_PIXELS = 1 << 17  # padded pixels per trunk row band in predict_image
+
+_PR_SET_PDEATHSIG = 1  # from <linux/prctl.h>
+
+# Set to False in run_experiment's pool workers, which already keep every
+# CPU busy: a TV helper there only competes with the other workers.
+_overlap = True
+# Starting and ending a TV helper costs about 7 ms, and at the defaults
+# the overlap saves about 0.45 ms per iteration: shorter trainings run
+# inline.
+_HELPER_MIN_ITERATIONS = 20
 
 
 @dataclass(frozen=True)
@@ -150,6 +172,110 @@ def _tv_step(net: Network, crops: np.ndarray,
     return value, net.backward_neighbourhoods(cache, coeffs * scale)
 
 
+def _die_with(parent: int) -> None:
+    """In a forked child: ask the kernel to kill this process when
+    ``parent`` goes.
+
+    A child whose parent was killed by a signal would otherwise go on
+    working, or wait for work forever.
+    """
+    import ctypes  # here: at module level it would slow down every ``import tvseg``
+
+    ctypes.CDLL(None).prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
+    if os.getppid() != parent:  # the parent went before the prctl
+        os._exit(1)
+
+
+def _helper_fits() -> bool:
+    """Whether a TV helper process would get a CPU of its own and may be
+    forked safely: see the module docstring."""
+    return (_overlap and len(os.sched_getaffinity(0)) >= 2
+            and threading.active_count() == 1 and os.uname().machine == "x86_64")
+
+
+class _TvHelper:
+    """A forked process that runs one iteration's TV step while this
+    process runs its supervised step.
+
+    ``step(flat)`` computes the TV value and gradient of the draws
+    ``flat`` with ``net``; the helper runs it on its forked copy of
+    ``net`` after copying in the parameters that ``ask`` published.  One
+    anonymous shared mapping carries two sequence counters, the draws,
+    the parameters, and the value and gradient returned.  Each side
+    writes its data before the counter that hands it over, and x86-64
+    keeps stores in that order.  Each side waits by polling the other's
+    counter with ``sched_yield``: waking a process blocked on a pipe costs
+    about as much as the overlap saves.  So a waiting side keeps its CPU
+    busy.
+
+    The helper ignores SIGINT and dies with this process.  It is never
+    asked to stop: ``close`` kills and reaps it.
+    """
+
+    def __init__(self, net: Network, step, batch: int):
+        import mmap  # here: a training without a helper does not load it
+
+        n = net.num_params
+        buf = mmap.mmap(-1, 8 * (2 + batch + 2 * n + 1))
+        counters = np.frombuffer(buf, dtype=np.int64, count=2 + batch)
+        self._asked, self._done, self._flat = counters[0:1], counters[1:2], counters[2:]
+        floats = np.frombuffer(buf, dtype=np.float64, offset=counters.nbytes)
+        self._params, self._grads, self._value = floats[:n], floats[n:2 * n], floats[2 * n:]
+        parent = os.getpid()
+        self.pid = os.fork()
+        if self.pid == 0:
+            try:
+                signal.signal(signal.SIGINT, signal.SIG_IGN)
+                _die_with(parent)
+                # off the CPU this process last ran on: two processes that
+                # spin stay cache-hot, and the scheduler rarely moves either
+                # of them once a fork has put both on one CPU
+                with open(f"/proc/{parent}/stat") as fh:
+                    cpu = int(fh.read().rsplit(")", 1)[1].split()[36])
+                os.sched_setaffinity(0, os.sched_getaffinity(0) - {cpu})
+                self._serve(net, step)
+            finally:
+                os._exit(1)
+
+    def _serve(self, net: Network, step) -> None:
+        seen = 0
+        while True:
+            while self._asked[0] == seen:
+                os.sched_yield()
+            seen = int(self._asked[0])
+            np.copyto(net.params, self._params)
+            value, grads = step(self._flat)
+            self._grads[:] = grads
+            self._value[0] = value
+            self._done[0] = seen
+
+    def ask(self, params: np.ndarray, flat: np.ndarray) -> None:
+        """Start the TV step of the draws ``flat`` at ``params``."""
+        self._params[:] = params
+        self._flat[:] = flat
+        self._asked[0] += 1
+
+    def answer(self) -> tuple[float, np.ndarray] | None:
+        """The value and gradient of the step asked last, or None if the
+        helper died first.  The gradient is valid until the next ``ask``."""
+        while self._done[0] != self._asked[0]:
+            try:
+                gone = os.waitpid(self.pid, os.WNOHANG)[0] != 0
+            except ChildProcessError:  # reaped elsewhere
+                gone = True
+            if gone:
+                self.pid = None
+                return None
+            os.sched_yield()
+        return float(self._value[0]), self._grads
+
+    def close(self) -> None:
+        if self.pid is not None:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = None
+
+
 def supervised_grad(net: Network, patch, label: int,
                     loss_kind: str = "cross_entropy") -> tuple[float, np.ndarray]:
     """Loss and exact parameter gradient for one labeled patch."""
@@ -231,6 +357,13 @@ def train(images: dict[str, LabeledImage], sparse: SparseLabelSet,
         starts = bounds - counts
         crop_windows = [_windows(li, net.patch_size + 2) for li in images.values()]
 
+        def tv_at(flat):
+            which = np.searchsorted(bounds, flat, side="right")
+            rows, cols = np.divmod(flat - starts[which], widths[which])
+            # the crop around interior pixel (1 + row, 1 + col)
+            crops = _cut(crop_windows, which, rows + 1, cols + 1)
+            return _tv_step(net, crops, cfg.alpha / cfg.unsup_batch)
+
     rng_sup = make_rng(cfg.seed, ROLE_SUP_DRAW)
     rng_unsup = make_rng(cfg.seed, ROLE_UNSUP_DRAW)
 
@@ -238,31 +371,46 @@ def train(images: dict[str, LabeledImage], sparse: SparseLabelSet,
     unsup_hist = np.zeros(cfg.iterations)
     total_hist = np.zeros(cfg.iterations)
 
-    for it in range(cfg.iterations):
-        pick = rng_sup.integers(0, len(sparse), size=cfg.sup_batch)
-        sup_value, grads = _supervised_step(net, sup_patches[pick], sup_labels[pick],
-                                            cfg.supervised_loss)
+    helper = None
+    try:
+        if use_unsup and cfg.iterations >= _HELPER_MIN_ITERATIONS and _helper_fits():
+            try:
+                helper = _TvHelper(net, tv_at, cfg.unsup_batch)
+            except OSError:  # no process or memory to spare: train inline
+                pass
+        for it in range(cfg.iterations):
+            pick = rng_sup.integers(0, len(sparse), size=cfg.sup_batch)
+            if use_unsup:
+                flat = rng_unsup.integers(0, bounds[-1], size=cfg.unsup_batch)
+                if helper is not None:
+                    helper.ask(net.params, flat)
+            sup_value, grads = _supervised_step(net, sup_patches[pick], sup_labels[pick],
+                                                cfg.supervised_loss)
 
-        unsup_value = 0.0
-        if use_unsup:
-            flat = rng_unsup.integers(0, bounds[-1], size=cfg.unsup_batch)
-            which = np.searchsorted(bounds, flat, side="right")
-            rows, cols = np.divmod(flat - starts[which], widths[which])
-            # the crop around interior pixel (1 + row, 1 + col)
-            crops = _cut(crop_windows, which, rows + 1, cols + 1)
-            unsup_value, unsup_grads = _tv_step(net, crops, cfg.alpha / cfg.unsup_batch)
-            unsup_value /= cfg.unsup_batch
-            grads += unsup_grads
+            unsup_value = 0.0
+            if use_unsup:
+                tv = helper.answer() if helper is not None else None
+                if tv is None:
+                    # inline, also from here on when the helper died: an
+                    # exception that killed it is raised here as itself
+                    helper = None
+                    tv = tv_at(flat)
+                unsup_value, unsup_grads = tv
+                unsup_value /= cfg.unsup_batch
+                grads += unsup_grads
 
-        total = sup_value + cfg.alpha * unsup_value
-        if not np.isfinite(total):
-            raise NumericalError(
-                f"non-finite loss at iteration {it}: "
-                f"sup={sup_value} unsup={unsup_value} (lr too large?)")
-        sup_hist[it] = sup_value
-        unsup_hist[it] = unsup_value
-        total_hist[it] = total
-        sgd_step(net, grads, cfg.lr, cfg.weight_decay)
+            total = sup_value + cfg.alpha * unsup_value
+            if not np.isfinite(total):
+                raise NumericalError(
+                    f"non-finite loss at iteration {it}: "
+                    f"sup={sup_value} unsup={unsup_value} (lr too large?)")
+            sup_hist[it] = sup_value
+            unsup_hist[it] = unsup_value
+            total_hist[it] = total
+            sgd_step(net, grads, cfg.lr, cfg.weight_decay)
+    finally:
+        if helper is not None:
+            helper.close()
 
     return net, TrainReport(sup_hist, unsup_hist, total_hist)
 

@@ -9,6 +9,7 @@ import signal
 import subprocess
 import sys
 import time
+import zipfile
 from dataclasses import fields
 from pathlib import Path
 
@@ -17,6 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import tvseg
+from tvseg import trainer
 from tvseg.cli import _config, _config_json, _load_config, build_parser, main
 from tvseg.data import UNLABELED, SynthConfig, load_dataset, load_labels, save_labels
 from tvseg.evaluate import ExperimentConfig, emit_table, parse_table, run_experiment
@@ -834,6 +836,13 @@ def _alive(pid: str) -> bool:
     return state not in ("Z", "X")
 
 
+def _cli_env() -> dict:
+    """This environment, with the tvseg sources under test first on the path."""
+    src = str(Path(tvseg.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def _start_long_experiment(tmp_path, iterations: int):
     """A two-job experiment with the tiny architecture in a child process,
     returned with its workers' pids once all of them run.  If they do not
@@ -844,11 +853,9 @@ def _start_long_experiment(tmp_path, iterations: int):
         "train": {"iterations": iterations, "patch_size": 9, "architecture": TINY_JSON},
         "synth": {"height": 20, "width": 20, "num_shapes": 3, "seed": 2},
         "num_train": 2, "num_test": 2}))
-    src = str(Path(tvseg.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.Popen([sys.executable, "-m", "tvseg.cli", "experiment",
                              "--config", str(cfg), "--out", str(tmp_path / "exp")],
-                            env=dict(os.environ, PYTHONPATH=path),
+                            env=_cli_env(),
                             stderr=subprocess.PIPE, text=True)
     expected = min(2, len(os.sched_getaffinity(0)))  # two jobs
     workers: list[str] = []
@@ -923,6 +930,118 @@ def test_lost_worker_exits_one(tmp_path):
     assert left == [] and not (tmp_path / "exp").exists()
 
 
+_needs_helper = pytest.mark.skipif(not trainer._helper_fits(),
+                                   reason="tvseg train runs no TV helper process here")
+
+
+def _train_argv(workspace, cfg: Path, out: Path) -> list[str]:
+    return [sys.executable, "-m", "tvseg.cli", "train", "--config", str(cfg),
+            "--data", str(workspace / "data" / "train"),
+            "--sparse", str(workspace / "sparse.csv"), "--out", str(out)]
+
+
+def _train_config(tmp_path, iterations: int) -> Path:
+    cfg = tmp_path / "alpha.json"
+    cfg.write_text(json.dumps({"architecture": TINY_JSON, "iterations": iterations,
+                               "patch_size": 9, "seed": 5, "alpha": 0.1}))
+    return cfg
+
+
+def _trained(out: Path) -> tuple:
+    """The members of a checkpoint (the zip archive's own timestamps
+    aside) and its loss CSV."""
+    with zipfile.ZipFile(out) as archive:
+        members = {name: archive.read(name) for name in archive.namelist()}
+    return members, out.with_suffix(".report.csv").read_bytes()
+
+
+def _start_long_train(workspace, tmp_path, iterations: int):
+    """``tvseg train`` at alpha 0.1 with the tiny architecture in a child
+    process, returned with its one child, the TV helper, once that runs.
+    The command must have exactly that child, also a moment later, and
+    the helper's CPU mask must be the command's less one CPU; if not, the
+    command is killed and the test fails."""
+    proc = subprocess.Popen(_train_argv(workspace, _train_config(tmp_path, iterations),
+                                        tmp_path / "m.npz"),
+                            env=_cli_env(), stderr=subprocess.PIPE, text=True)
+    children, later, masks = [], [], None
+    deadline = time.monotonic() + 60
+    try:
+        while not children and time.monotonic() < deadline:
+            time.sleep(0.01)
+            children = _children(proc.pid).read_text().split()
+        time.sleep(0.2)
+        later = _children(proc.pid).read_text().split()
+        masks = os.sched_getaffinity(proc.pid), os.sched_getaffinity(int(later[0]))
+    finally:
+        ok = (len(children) == 1 and later == children and masks is not None
+              and masks[1] < masks[0] and len(masks[0] - masks[1]) == 1)
+        if not ok:
+            proc.kill()
+    assert ok, (children, later, masks)
+    return proc, children[0]
+
+
+@_needs_proc_children
+@_needs_helper
+def test_interrupted_train_reaps_its_helper(workspace, tmp_path):
+    # a SIGINT to the command alone: the helper ignores it, and the
+    # command kills and reaps it, then exits 130
+    proc, helper = _start_long_train(workspace, tmp_path, 10 ** 7)
+    try:
+        proc.send_signal(signal.SIGINT)
+        _, err = proc.communicate(timeout=10)
+        reaped = not _alive(helper)
+    finally:
+        proc.kill()
+        _workers_left([helper])
+    assert proc.returncode == 130 and err == "interrupted\n"
+    assert reaped and not (tmp_path / "m.npz").exists()
+
+
+@_needs_proc_children
+@_needs_helper
+def test_killed_train_leaves_no_helper(workspace, tmp_path):
+    proc, helper = _start_long_train(workspace, tmp_path, 10 ** 7)
+    proc.kill()
+    proc.communicate(timeout=60)
+    assert _workers_left([helper]) == []
+
+
+@_needs_proc_children
+@_needs_helper
+def test_train_finishes_inline_when_its_helper_dies(workspace, tmp_path):
+    # the command reruns the lost step itself and trains on, to the bytes
+    # of an undisturbed run
+    proc, helper = _start_long_train(workspace, tmp_path, 3000)
+    try:
+        os.kill(int(helper), signal.SIGKILL)
+        _, err = proc.communicate(timeout=300)
+    finally:
+        proc.kill()
+    assert proc.returncode == 0, err
+    undisturbed = tmp_path / "undisturbed.npz"
+    subprocess.run(_train_argv(workspace, tmp_path / "alpha.json", undisturbed),
+                   env=_cli_env(), check=True, capture_output=True, timeout=300)
+    assert _trained(tmp_path / "m.npz") == _trained(undisturbed)
+
+
+@_needs_helper
+def test_train_identical_on_one_and_two_cpus(workspace, tmp_path):
+    # the TV step in a helper process (two CPUs) or inline (one CPU),
+    # each CPU mask set in the child only
+    cfg = _train_config(tmp_path, 200)
+    first, second = sorted(os.sched_getaffinity(0))[:2]
+    trained = []
+    for cpus in ({first}, {first, second}):
+        out = tmp_path / f"cpus_{len(cpus)}.npz"
+        subprocess.run(_train_argv(workspace, cfg, out), env=_cli_env(), check=True,
+                       capture_output=True, timeout=300,
+                       preexec_fn=lambda cpus=cpus: os.sched_setaffinity(0, cpus))
+        trained.append(_trained(out))
+    assert trained[0] == trained[1]
+
+
 # 225 inputs x 10**15 units: 1.8e18 float64 parameters (1.58 EiB), more
 # than any address space holds, so the allocation fails at once
 _UNALLOCATABLE = [["dense", 10 ** 15], ["dense", 2], ["softmax", 0]]
@@ -967,12 +1086,10 @@ def test_experiment_identical_across_blas_threads(tmp_path):
     }
     cfg_path = tmp_path / "exp.json"
     cfg_path.write_text(json.dumps(cfg))
-    src = str(Path(tvseg.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     tables = []
     for threads in ("1", "2"):
         out = tmp_path / f"threads_{threads}"
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+        env = dict(_cli_env(), OPENBLAS_NUM_THREADS=threads)
         subprocess.run([sys.executable, "-m", "tvseg.cli", "experiment",
                         "--config", str(cfg_path), "--out", str(out)],
                        env=env, check=True, capture_output=True, timeout=600)

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -15,9 +16,10 @@ from oracles import extract_patch, predict_patchwise, tv_step_patchwise
 from tvseg import trainer
 from tvseg.data import LabeledImage, SparseLabelSet, SynthConfig, merge_sparse, \
     sample_sparse_labels, synth_dataset
+from tvseg.errors import NumericalError
 from tvseg.gradcheck import _NB_COLS, _NB_ROWS
 from tvseg.network import LayerSpec, Network, default_specs, sgd_step
-from tvseg.trainer import (TrainConfig, predict_image, supervised_grad, train,
+from tvseg.trainer import (SUPERVISED_LOSSES, TrainConfig, predict_image, supervised_grad, train,
                            unsupervised_grad, _PREDICT_CHUNK, _cut,
                            _loss_and_grad_out, _windows)
 from tvseg.tv_loss import TotalVariation, _sobel, tv_grad_image, tv_value_image
@@ -461,9 +463,22 @@ def test_tv_step_reads_only_the_crop_side(arch, channels, batch, seed):
     assert got_grads.tobytes() == grads.tobytes()
 
 
+@contextmanager
+def _one_cpu():
+    """This process's affinity narrowed to one CPU, so that ``train`` runs
+    the TV step inline; the mask is restored afterwards."""
+    cpus = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(cpus)})
+    try:
+        yield
+    finally:
+        os.sched_setaffinity(0, cpus)
+
+
 def test_train_makes_one_tv_call_per_iteration(monkeypatch):
     # one batched Sobel call per iteration, whatever the batch size and K;
-    # the per-window TotalVariation methods are never called
+    # the per-window TotalVariation methods are never called.  The count
+    # is taken inline: a TV helper process would make the calls itself
     def refuse(*args):
         raise AssertionError("per-window TV call in training")
 
@@ -480,9 +495,132 @@ def test_train_makes_one_tv_call_per_iteration(monkeypatch):
     for unsup_batch, num_classes in ((1, 2), (8, 2), (5, 3)):
         calls.clear()
         specs = TINY[:-2] + (LayerSpec("dense", num_classes), LayerSpec("softmax"))
-        train(imgs, sparse, _toy_cfg(iterations=3, unsup_batch=unsup_batch,
-                                     num_classes=num_classes, architecture=specs))
+        with _one_cpu():
+            train(imgs, sparse, _toy_cfg(iterations=3, unsup_batch=unsup_batch,
+                                         num_classes=num_classes, architecture=specs))
         assert calls == 3 * [(unsup_batch, num_classes, 9)]
+
+
+# -- the TV helper process ------------------------------------------------------
+
+
+_needs_helper = pytest.mark.skipif(not trainer._helper_fits(),
+                                   reason="train() runs no TV helper process here")
+
+
+def _spy_helpers(mp) -> list:
+    """Through the MonkeyPatch ``mp``, the list of the pids of the TV
+    helpers that ``train`` starts from now on."""
+    started = []
+
+    class Spy(trainer._TvHelper):
+        def __init__(self, *args):
+            super().__init__(*args)  # returns in this process only
+            started.append(self.pid)
+
+    mp.setattr(trainer, "_TvHelper", Spy)
+    return started
+
+
+_CHILDREN = Path(f"/proc/{os.getpid()}/task/{os.getpid()}/children")
+_needs_proc_children = pytest.mark.skipif(not _CHILDREN.exists(),
+                                          reason="the kernel lists no child processes under /proc")
+
+
+def _children() -> list[str]:
+    return _CHILDREN.read_text().split()
+
+
+def _trained_bytes(net, report) -> tuple[bytes, ...]:
+    return (net.params.tobytes(), report.sup_loss.tobytes(),
+            report.unsup_loss.tobytes(), report.total_loss.tobytes())
+
+
+@_needs_helper
+@settings(max_examples=25, deadline=None)
+@given(arch=_architectures(), k=st.sampled_from([2, 3]), channels=st.sampled_from([1, 3]),
+       unsup_batch=st.sampled_from([1, 5, 8]), loss=st.sampled_from(SUPERVISED_LOSSES),
+       seed=st.integers(0, 2 ** 16))
+@example(arch=(default_specs(2), 15, 2), k=2, channels=1, unsup_batch=8,
+         loss="cross_entropy", seed=0)
+def test_helper_matches_inline_training(arch, k, channels, unsup_batch, loss, seed):
+    # the TV step in the helper process and inline give the same bytes
+    specs, patch_size, _ = arch
+    specs = specs[:-2] + (LayerSpec("dense", k), LayerSpec("softmax"))
+    synth = SynthConfig(height=20, width=18, num_shapes=3, num_classes=k,
+                        channels=channels, seed=seed)
+    imgs = synth_dataset(synth, 2, "img")
+    sparse = merge_sparse([sample_sparse_labels(li.labels, 6, seed=i, image_id=name)
+                           for i, (name, li) in enumerate(imgs.items())])
+    cfg = TrainConfig(alpha=0.5, iterations=trainer._HELPER_MIN_ITERATIONS,
+                      unsup_batch=unsup_batch, supervised_loss=loss, patch_size=patch_size,
+                      num_classes=k, seed=seed, architecture=specs)
+    with pytest.MonkeyPatch.context() as mp:
+        started = _spy_helpers(mp)
+        helper = _trained_bytes(*train(imgs, sparse, cfg))
+        with _one_cpu():
+            inline = _trained_bytes(*train(imgs, sparse, cfg))
+    assert len(started) == 1
+    assert helper == inline
+
+
+@_needs_helper
+@_needs_proc_children
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_train_leaves_no_child_process(monkeypatch):
+    # the helper is reaped when train() returns, and when it raises; a
+    # training too short to pay for it runs none
+    imgs, sparse = _toy_data()
+    before = _children()
+    started = _spy_helpers(monkeypatch)
+    train(imgs, sparse, _toy_cfg(iterations=trainer._HELPER_MIN_ITERATIONS - 1))
+    assert started == []
+    train(imgs, sparse, _toy_cfg(iterations=20))
+    assert len(started) == 1 and _children() == before
+    with pytest.raises(NumericalError):
+        train(imgs, sparse, _toy_cfg(iterations=120, lr=1e6))
+    assert len(started) == 2 and _children() == before
+
+    def interrupt(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(trainer, "_supervised_step", interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        train(imgs, sparse, _toy_cfg(iterations=20))
+    assert len(started) == 3 and _children() == before
+
+
+@_needs_helper
+@_needs_proc_children
+def test_lost_helper_hands_over_to_inline(monkeypatch):
+    # a helper that dies at its fifth step: this process reruns that step
+    # from the same draws and trains on inline, to the same bytes; an
+    # error that kills every helper is raised here as itself
+    imgs, sparse = _toy_data()
+    cfg = _toy_cfg(iterations=20)
+    before = _children()
+    with _one_cpu():
+        inline = _trained_bytes(*train(imgs, sparse, cfg))
+    parent, tv_step, steps = os.getpid(), trainer._tv_step, []
+
+    def dying_in_helper(*args):
+        steps.append(None)
+        if os.getpid() != parent and len(steps) == 5:
+            os._exit(1)
+        return tv_step(*args)
+
+    monkeypatch.setattr(trainer, "_tv_step", dying_in_helper)
+    started = _spy_helpers(monkeypatch)
+    assert _trained_bytes(*train(imgs, sparse, cfg)) == inline
+    assert len(started) == 1 and len(steps) == cfg.iterations - 4
+
+    def failing(*args):
+        raise FloatingPointError("from the TV step")
+
+    monkeypatch.setattr(trainer, "_tv_step", failing)
+    with pytest.raises(FloatingPointError, match="from the TV step"):
+        train(imgs, sparse, cfg)
+    assert len(started) == 2 and _children() == before
 
 
 # -- patch gather -------------------------------------------------------------
