@@ -38,6 +38,12 @@ def check_int_fields(cls, values: dict, section: str | None = None) -> None:
                 check_int(f"each entry of {where}", item)
 
 
+def check_num_classes(k: int) -> None:
+    """Accept a class count of at least two; else raise ValueError."""
+    if k < 2:
+        raise ValueError("need at least two classes")
+
+
 def check_finite(name: str, value, positive: bool = False) -> None:
     """Accept a finite number >= 0, or > 0 if ``positive``; else raise ValueError."""
     sign = "positive" if positive else "non-negative"

@@ -32,6 +32,7 @@ pool already keeps every CPU busy.
 
 import os
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -69,20 +70,22 @@ def pixel_error(pred: np.ndarray, truth: np.ndarray) -> float:
     return wrong / n
 
 
+def _pooled(counts: list[tuple[int, int]]) -> float:
+    """Error of per-image (wrong, evaluated) counts, pooled."""
+    wrong = sum(w for w, _ in counts)
+    total = sum(n for _, n in counts)
+    if total == 0:
+        raise ValueError("no evaluated pixels in any image")
+    return wrong / total
+
+
 def pooled_error(preds: dict[str, np.ndarray], truths: dict[str, np.ndarray]) -> float:
     """Pixel error pooled over the evaluated pixels of every image in ``truths``.
 
     Each pixel weighs the same, so this is not the mean of the per-image
     errors when the images differ in size.
     """
-    wrong = total = 0
-    for name, truth in truths.items():
-        w, n = _wrong_and_evaluated(preds[name], truth)
-        wrong += w
-        total += n
-    if total == 0:
-        raise ValueError("no evaluated pixels in any image")
-    return wrong / total
+    return _pooled([_wrong_and_evaluated(preds[name], truth) for name, truth in truths.items()])
 
 
 @dataclass(frozen=True)
@@ -162,14 +165,6 @@ def _make_row(size: int, mode: str, errors: list[float]) -> ExperimentRow:
                          float(arr.mean()), std)
 
 
-def _predict_all(net, images: dict[str, LabeledImage]) -> dict[str, np.ndarray]:
-    return {name: predict_image(net, li) for name, li in images.items()}
-
-
-def _argmax_all(probs: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    return {name: argmax_labels(p) for name, p in probs.items()}
-
-
 def _check_labels(images: dict[str, LabeledImage], k: int, what: str) -> None:
     for name, li in images.items():
         classes = li.labels[li.labels != UNLABELED]
@@ -193,28 +188,34 @@ def _share(parent: int, cfg: ExperimentConfig, train_images: dict[str, LabeledIm
     _shared = cfg, train_images, test_images
 
 
+def _scored(net, images: dict[str, LabeledImage], scorers) -> list[float]:
+    """Pooled error of each of ``scorers`` (probability map to label map)
+    over ``images``.  Each image is predicted, scored and dropped in turn,
+    so one probability map is held at a time."""
+    counts = [[] for _ in scorers]
+    for li in images.values():
+        probs = predict_image(net, li)
+        for c, score in zip(counts, scorers):
+            c.append(_wrong_and_evaluated(score(probs), li.labels))
+    return [_pooled(c) for c in counts]
+
+
 def _run_arm(sparse: SparseLabelSet, tcfg: TrainConfig) -> tuple[float, ...]:
     """Test errors of one trained arm of one (size, trial).
 
-    At alpha = 0 the supervised error, then the MRF-post error if that
-    mode runs; at alpha > 0 the semi-supervised error.
+    At alpha = 0 the supervised error, then the MRF-post error at the first
+    beta of least train error if that mode runs; at alpha > 0 the
+    semi-supervised error.
     """
     cfg, train_images, test_images = _shared
-    test_truth = {name: li.labels for name, li in test_images.items()}
     net, _ = train(train_images, sparse, tcfg)
-    test_probs = _predict_all(net, test_images)
-    errors = [pooled_error(_argmax_all(test_probs), test_truth)]
+    scorers = [argmax_labels]
     if tcfg.alpha == 0 and "mrf_post" in cfg.modes:
-        train_probs = _predict_all(net, train_images)
-        train_truth = {name: li.labels for name, li in train_images.items()}
-
-        def mrf_error(probs, truth, beta):
-            mc = MrfConfig(beta, cfg.mrf_max_iters)
-            return pooled_error({n: icm_smooth(p, mc) for n, p in probs.items()}, truth)
-
-        beta = min(cfg.mrf_betas, key=lambda b: mrf_error(train_probs, train_truth, b))
-        errors.append(mrf_error(test_probs, test_truth, beta))
-    return tuple(errors)
+        smooth = [partial(icm_smooth, cfg=MrfConfig(beta, cfg.mrf_max_iters))
+                  for beta in cfg.mrf_betas]
+        train_errors = _scored(net, train_images, smooth)
+        scorers.append(smooth[train_errors.index(min(train_errors))])
+    return tuple(_scored(net, test_images, scorers))
 
 
 def run_experiment(cfg: ExperimentConfig,

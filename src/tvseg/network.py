@@ -57,7 +57,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, check_finite, check_int
+from .errors import NumericalError, check_finite, check_int, check_num_classes
 
 CHECKPOINT_VERSION = 1
 
@@ -323,8 +323,7 @@ class Network:
             raise ValueError("softmax may only appear as the final layer")
         if patch_size < 1 or patch_size % 2 == 0:
             raise ValueError(f"patch_size must be odd and positive, got {patch_size}")
-        if num_classes < 2:
-            raise ValueError("need at least two classes")
+        check_num_classes(num_classes)
         if in_channels not in (1, 3):
             raise ValueError("in_channels must be 1 or 3")
 

@@ -27,6 +27,7 @@ process keeps both RNG streams and draws every index itself, so the
 parameters and the report are the inline loop's bit for bit.
 """
 
+import ctypes
 import os
 import signal
 import threading
@@ -35,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import LabeledImage, SparseLabelSet, pad_mirror
-from .errors import NumericalError, check_finite, check_int_fields
+from .errors import NumericalError, check_finite, check_int_fields, check_num_classes
 from .network import LayerSpec, Network, default_specs, sgd_step
 from .rng import ROLE_INIT, ROLE_SUP_DRAW, ROLE_UNSUP_DRAW, make_rng, mix_seed
 from .tv_loss import _sobel, _subgradient
@@ -45,7 +46,7 @@ SUPERVISED_LOSSES = ("mse", "cross_entropy")
 _PROB_FLOOR = 1e-12  # clamp for log/reciprocal of tiny probabilities
 
 _PREDICT_CHUNK = 2048  # pixels per head forward pass in predict_image
-_BAND_PIXELS = 1 << 17  # padded pixels per trunk row band in predict_image
+_BAND_PIXELS = 1 << 17  # output pixels per trunk band in predict_image
 
 _PR_SET_PDEATHSIG = 1  # from <linux/prctl.h>
 
@@ -85,8 +86,7 @@ class TrainConfig:
             raise ValueError("iterations must be non-negative")
         if self.supervised_loss not in SUPERVISED_LOSSES:
             raise ValueError(f"supervised_loss must be one of {SUPERVISED_LOSSES}")
-        if self.num_classes < 2:
-            raise ValueError("need at least two classes")
+        check_num_classes(self.num_classes)
 
     def specs(self) -> tuple[LayerSpec, ...]:
         return self.architecture or default_specs(self.num_classes)
@@ -179,8 +179,6 @@ def _die_with(parent: int) -> None:
     A child whose parent was killed by a signal would otherwise go on
     working, or wait for work forever.
     """
-    import ctypes  # here: at module level it would slow down every ``import tvseg``
-
     ctypes.CDLL(None).prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
     if os.getppid() != parent:  # the parent went before the prctl
         os._exit(1)
@@ -376,7 +374,7 @@ def train(images: dict[str, LabeledImage], sparse: SparseLabelSet,
         if use_unsup and cfg.iterations >= _HELPER_MIN_ITERATIONS and _helper_fits():
             try:
                 helper = _TvHelper(net, tv_at, cfg.unsup_batch)
-            except OSError:  # no process or memory to spare: train inline
+            except (OSError, OverflowError):  # no process or memory to spare: train inline
                 pass
         for it in range(cfg.iterations):
             pick = rng_sup.integers(0, len(sparse), size=cfg.sup_batch)
@@ -421,17 +419,18 @@ def predict_image(net: Network, image) -> np.ndarray:
     Returns an (H, W, K) probability map; prediction at (r, c) equals
     ``batch_forward`` on the patch ``pad_mirror(image, P // 2)[r:r+P, c:c+P]``.
 
-    The trunk (``Network.forward_trunk``) runs once over the padded
-    image, in row bands of about ``_BAND_PIXELS`` padded pixels plus a
-    P - 1 row halo, so its working set does not grow with the image
-    height.  The head (``Network.forward_head``) classifies the trunk
-    windows ``_PREDICT_CHUNK`` pixels at a time in raster order, a block
-    carrying over band boundaries.  These are the row blocks of a
-    patch-wise pass in chunks of ``_PREDICT_CHUNK``, and BLAS sums a row
-    of a product differently for some row counts, so the head's results
-    are that pass's bit for bit.  The trunk's products have other row
-    counts; that is exact as long as every conv reads at most 8 channels
-    (measured with OpenBLAS on 1 and 2 threads).
+    The head (``Network.forward_head``) classifies the pixels
+    ``_PREDICT_CHUNK`` at a time in raster order.  These are the row
+    blocks of a patch-wise pass in chunks of ``_PREDICT_CHUNK``, and BLAS
+    sums a row of a product differently for some row counts, so the
+    head's results are that pass's bit for bit.  The trunk
+    (``Network.forward_trunk``) runs once per band of ``_BAND_PIXELS``
+    output pixels rounded down to whole chunks, over the rows of the
+    padded image that the band's patches read, so its working set does
+    not grow with the image height.  A pass computes whole rows, so a
+    band holds at least the whole chunks that cover a row.  The trunk's
+    products have other row counts; that is exact as long as every conv
+    reads at most 8 channels (measured with OpenBLAS on 1 and 2 threads).
     """
     img = _image_array(image)
     if img.shape[2] != net.in_channels:
@@ -440,23 +439,17 @@ def predict_image(net: Network, image) -> np.ndarray:
     h, w = img.shape[:2]
     p = net.patch_size
     padded = pad_mirror(img, p // 2)
-    band = max(1, _BAND_PIXELS // padded.shape[1])
+    band = max(_BAND_PIXELS // _PREDICT_CHUNK, -(-w // _PREDICT_CHUNK)) * _PREDICT_CHUNK
     out = np.empty((h * w, net.num_classes))
+    # holds no data: freeing it raises glibc's mmap threshold, which speeds a later training
     block = np.empty((_PREDICT_CHUNK,) + net.trunk_shape)
-    filled = 0  # trunk windows in block, of the pixels just before flat
-    for r0 in range(0, h, band):
-        r1 = min(r0 + band, h)
+    for f0 in range(0, h * w, band):
+        f1 = min(f0 + band, h * w)
+        r0, r1 = f0 // w, -(-f1 // w)
         maps = net.forward_trunk(padded[r0:r1 + p - 1])
-        flat = r0 * w
-        while flat < r1 * w:
-            take = min(_PREDICT_CHUNK - filled, r1 * w - flat)
-            rows, cols = np.divmod(np.arange(flat, flat + take) - r0 * w, w)
-            block[filled:filled + take] = net.trunk_windows(maps, rows, cols)
-            filled += take
-            flat += take
-            if filled == _PREDICT_CHUNK or flat == h * w:
-                out[flat - filled:flat] = net.forward_head(block[:filled])
-                filled = 0
+        for c0 in range(f0, f1, _PREDICT_CHUNK):
+            rows, cols = np.divmod(np.arange(c0, min(c0 + _PREDICT_CHUNK, f1)) - r0 * w, w)
+            out[c0:c0 + len(rows)] = net.forward_head(net.trunk_windows(maps, rows, cols))
     if h * w % _PREDICT_CHUNK == 1:
         # on a one-patch chunk a trunk product can have a single row, which
         # BLAS sums as a matrix-vector product; classify that patch as such

@@ -15,11 +15,11 @@ import numpy as np
 
 from tvseg.data import (LabeledImage, load_dataset, merge_sparse, sample_sparse_labels,
                         synth_dataset)
-from tvseg.evaluate import (ExperimentConfig, ExperimentResult, ExperimentRow, _argmax_all,
-                            _check_labels, _make_row, _predict_all, pooled_error)
-from tvseg.mrf import MrfConfig, icm_smooth
+from tvseg.evaluate import (ExperimentConfig, ExperimentResult, ExperimentRow, _check_labels,
+                            _make_row, pooled_error)
+from tvseg.mrf import MrfConfig, argmax_labels, icm_smooth
 from tvseg.rng import ROLE_SPARSE, ROLE_TRAIN, mix_seed
-from tvseg.trainer import train
+from tvseg.trainer import predict_image, train
 
 
 def mirror_index(i: int, n: int) -> int:
@@ -265,6 +265,14 @@ def icm_loop(probs: np.ndarray, beta: float, max_iters: int) -> tuple[np.ndarray
         if not changed:
             break
     return np.array(field, dtype=np.uint8).reshape(h, w), sweeps
+
+
+def _predict_all(net, images: dict[str, LabeledImage]) -> dict[str, np.ndarray]:
+    return {name: predict_image(net, li) for name, li in images.items()}
+
+
+def _argmax_all(probs: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    return {name: argmax_labels(p) for name, p in probs.items()}
 
 
 def run_experiment_serial(cfg: ExperimentConfig,

@@ -1069,6 +1069,20 @@ def test_unallocatable_sizes_exit_one(workspace, tmp_path, capsys):
     assert err.count("invalid input") == 2 and "Traceback" not in err
 
 
+@_needs_helper
+def test_unmappable_unsup_batch_exits_one(workspace, tmp_path, capsys):
+    # 2**60 draws do not fit the TV helper's shared mapping: the training
+    # goes inline, where drawing them is refused
+    ckpt = tmp_path / "m.npz"
+    assert main(["train", "--config", str(_train_config(tmp_path, 25)),
+                 "--data", str(workspace / "data" / "train"),
+                 "--sparse", str(workspace / "sparse.csv"),
+                 "--out", str(ckpt), "--unsup-batch", str(2 ** 60)]) == 1
+    err = capsys.readouterr().err
+    assert "invalid input" in err and "Traceback" not in err
+    assert not ckpt.exists()
+
+
 def test_experiment_identical_across_blas_threads(tmp_path):
     # criterion 6's experiment in two child processes, one with one
     # OpenBLAS thread and one with two; this process's environment is

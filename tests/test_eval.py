@@ -1,10 +1,15 @@
 """Pixel error and the experiment protocol on a tiny configuration."""
 
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tvseg
 from oracles import run_experiment_serial
 from tvseg.data import SynthConfig, UNLABELED
 from tvseg.evaluate import (ExperimentConfig, ExperimentResult, ExperimentRow,
@@ -159,6 +164,30 @@ def test_stats_recomputable_from_trials():
     arr = np.asarray(row.trial_errors)
     assert float(arr.mean()) == row.mean_error
     assert float(arr.std(ddof=1)) == row.std_error
+
+
+_LARGE_EXPERIMENT = """
+import resource
+from tvseg.data import SynthConfig
+from tvseg.evaluate import ExperimentConfig, run_experiment
+from tvseg.trainer import TrainConfig
+synth = SynthConfig(height=512, width=512)
+run_experiment(ExperimentConfig(labels_per_image=(10,), trials=1, alphas=(0.1,), synth=synth,
+                                train=TrainConfig(iterations=30), num_train=8, num_test=8))
+print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+"""
+
+
+def test_experiment_workers_hold_one_map_at_a_time():
+    # 8 + 8 grey 512x512 images, 2 MiB each and 4 MiB per probability
+    # map: workers that kept every map of their arm peaked at 177 MiB,
+    # workers that keep one at a time at 122 MiB
+    src = str(Path(tvseg.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=path)
+    run = subprocess.run([sys.executable, "-c", _LARGE_EXPERIMENT], env=env, check=True,
+                         capture_output=True, text=True, timeout=600)
+    assert int(run.stdout) < 150 * 1024
 
 
 # -- CSV emission -------------------------------------------------------------

@@ -17,13 +17,13 @@ def test_all_exports_resolve_once():
     assert len(set(tvseg.__all__)) == len(tvseg.__all__)
 
 
-def test_cli_import_leaves_the_process_pool_out():
-    # run_experiment imports its pool when it runs; at module level the
-    # pool modules would add to the start-up of every command
+def test_cli_import_leaves_the_pool_and_mmap_out():
+    # run_experiment imports its pool when it runs, and the TV helper its
+    # mmap; at module level they would add to the start-up of every command
     src = str(Path(tvseg.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code = ("import sys, tvseg.cli; "
-            "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))")
+    code = ("import sys, tvseg.cli; print(sorted("
+            "{'multiprocessing', 'concurrent.futures', 'mmap'} & set(sys.modules)))")
     out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
                          check=True, capture_output=True, text=True, timeout=120).stdout
     assert out.strip() == "[]"

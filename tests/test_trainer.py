@@ -343,15 +343,16 @@ def test_predict_matches_patchwise_oracle(arch, h, w, channels, seed, ties):
     assert np.array_equal(predict_image(net, img), predict_patchwise(net, img))
 
 
-@pytest.mark.parametrize("band_pixels", [1, trainer._BAND_PIXELS])
+@pytest.mark.parametrize("band_pixels", [1, 2 * trainer._PREDICT_CHUNK, trainer._BAND_PIXELS])
 @pytest.mark.parametrize("arch, shape", [
     (_ONE_ROW, (3, 683, 3)),  # 2049 pixels: the last chunk holds one
     ((TINY, 9, 2), (45, 46, 1)),
     ((default_specs(3), 15, 3), (47, 50, 3)),
+    ((TINY, 9, 2), (5, 1001, 1)),  # a band of two chunks ends mid-row
 ])
 def test_predict_bands_and_chunks_match_oracle(monkeypatch, band_pixels, arch, shape):
-    # band_pixels 1 cuts the trunk into bands of one row, so head chunks
-    # straddle many band boundaries
+    # band_pixels 1 cuts the trunk into bands of one head chunk, which
+    # start and end mid-row
     monkeypatch.setattr(trainer, "_BAND_PIXELS", band_pixels)
     specs, patch_size, num_classes = arch
     net = Network.init(specs, patch_size, num_classes, seed=4, in_channels=shape[2])
