@@ -9,6 +9,7 @@ experiment worker, 2 numerical failure, 3 IO error, 130 interrupted
 """
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -325,7 +326,10 @@ def cmd_gradcheck(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every
+    ``main`` call of the process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="tvseg",
         description="patch-classifier training with a spatial smoothness loss")

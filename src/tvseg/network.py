@@ -29,9 +29,9 @@ pool takes the stride-1 max over the four taps d apart and doubles d.
 The trunk output of the patch at (r, c) is then the trunk map at
 (r + S * i, c + S * j), S the final d, bitwise equal to the trunk output
 of that patch alone.  ``forward_trunk`` runs the dense trunk once over
-a whole image, ``trunk_windows`` cuts the patches' windows from its map,
-and ``forward_head`` classifies a stack of them; both passes keep no
-layer caches.  ``batch_forward`` runs the same layer code on patches,
+a whole image, the patches' windows are cut from its map, and
+``forward_head`` classifies a stack of them; both passes keep no layer
+caches.  ``batch_forward`` runs the same layer code on patches,
 where a pool takes the 2x2 windows with stride 2.  A layer's
 ``backward`` returns only its input gradient; a trainable layer's
 ``param_grads`` writes its weight and bias gradients.  A layer caches
@@ -353,8 +353,8 @@ class Network:
         # the trunk is the leading run of layers with a spatial output; on
         # one patch it emits a trunk_shape map.  In the dense mode layer i
         # runs at dilation _dilations[i], which each pool doubles; a patch's
-        # window of the dense trunk map spans _span positions with stride
-        # trunk_stride
+        # window of the dense trunk map spans trunk_span positions with
+        # stride trunk_stride
         self._trunk = next(i for i, layer in enumerate(self._layers)
                            if len(layer.out_shape) != 3)
         self.trunk_shape = (self._layers[self._trunk - 1].out_shape if self._trunk
@@ -364,11 +364,11 @@ class Network:
             self._dilations.append(d)
             d *= 2 if isinstance(layer, _MaxPool2x2) else 1
         self.trunk_stride = d
-        self._span = d * (self.trunk_shape[0] - 1) + 1
+        self.trunk_span = d * (self.trunk_shape[0] - 1) + 1
         # the side of a crop's leading rows and columns that the nine
         # patches of a neighbourhood read: back from their trunk map, each
         # layer adds its reach at its dilation
-        self._crop_side = self._span + 2 + sum(
+        self._crop_side = self.trunk_span + 2 + sum(
             layer.reach * d for layer, d in zip(self._layers, self._dilations))
 
         if params is None:
@@ -474,30 +474,27 @@ class Network:
         return grads
 
     def forward_trunk(self, image) -> np.ndarray:
-        """Dense trunk map of an (H, W, C) image, from which
-        ``trunk_windows`` cuts the trunk outputs of the patches with
-        top-left corners r <= H - P and c <= W - P.  Keeps no layer
+        """Dense trunk map of an (H, W, C) image.  The trunk output of the
+        patch with top-left corner (r, c), r <= H - P and c <= W - P, is
+        its ``trunk_span``-square window at (r, c) with stride
+        ``trunk_stride``, as ``trunk_windows`` cuts it.  Keeps no layer
         caches, so its working set is a few feature maps.
         """
         return self._forward(image[None], range(self._trunk), dense=True)[0]
 
-    def trunk_windows(self, maps, rows, cols) -> np.ndarray:
-        """Trunk outputs of the patches with top-left corners (rows, cols),
+    def trunk_windows(self, maps, row: int, col: int) -> np.ndarray:
+        """Trunk outputs of the patches with top-left corner (row, col),
         cut from the (..., H, W, c) dense trunk ``maps`` of their images:
         the patch at (r, c) reads positions (r + S * i, c + S * j), with
         S = ``trunk_stride`` and i, j below the side of ``trunk_shape``.
 
-        Integer arrays give an (..., N) + ``trunk_shape`` copy; Python
-        integers give a view into ``maps``, through which a gradient can
-        be added back, cut by a plain slice: the neighbourhood passes take
+        The result is a view into ``maps``, cut by a plain slice, through
+        which a gradient can be added back: the neighbourhood passes take
         nine per step, and a sliding-window view per window costs more
         than the step's pool.
         """
-        s, span = self.trunk_stride, self._span
-        if isinstance(rows, int):
-            return maps[..., rows:rows + span:s, cols:cols + span:s, :]
-        view = np.lib.stride_tricks.sliding_window_view(maps, (span, span), axis=(-3, -2))
-        return np.moveaxis(view[..., ::s, ::s], -3, -1)[..., rows, cols, :, :, :]
+        s, span = self.trunk_stride, self.trunk_span
+        return maps[..., row:row + span:s, col:col + span:s, :]
 
     def forward_head(self, windows) -> np.ndarray:
         """(N, K) class probabilities of (N,) + ``trunk_shape`` trunk outputs."""
@@ -536,7 +533,7 @@ class Network:
         windows = self._backward(range(self._trunk, len(self._layers)), caches, g, grads)
         if windows is not None:
             windows = windows.reshape((-1, 9) + self.trunk_shape)
-            side = self._span + 2
+            side = self.trunk_span + 2
             maps = np.zeros((len(windows), side, side, self.trunk_shape[2]))
             for t, corner in enumerate(_NEIGHBOURS):
                 window = self.trunk_windows(maps, *corner)
@@ -586,7 +583,10 @@ def load_checkpoint(path) -> Network:
     try:
         with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as data:
             raw_meta, raw_params = bytes(data["meta"]), data["params"]
-    except (zipfile.BadZipFile, EOFError, ValueError) as exc:
+    # zipfile raises NotImplementedError for an unknown compression method
+    # or zip version, and RuntimeError for an encrypted entry
+    except (zipfile.BadZipFile, EOFError, ValueError, NotImplementedError,
+            RuntimeError) as exc:
         raise OSError(f"{path}: unreadable checkpoint: {exc}") from exc
     meta = json.loads(raw_meta.decode("utf-8"))
     if not isinstance(meta, dict):

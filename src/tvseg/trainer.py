@@ -428,28 +428,38 @@ def predict_image(net: Network, image) -> np.ndarray:
     output pixels rounded down to whole chunks, over the rows of the
     padded image that the band's patches read, so its working set does
     not grow with the image height.  A pass computes whole rows, so a
-    band holds at least the whole chunks that cover a row.  The trunk's
-    products have other row counts; that is exact as long as every conv
-    reads at most 8 channels (measured with OpenBLAS on 1 and 2 threads).
+    band holds at least the whole chunks that cover a row.  A chunk's
+    trunk windows are copied from a window view of the band's map into
+    one preallocated block, one slice copy per image row the chunk
+    touches.  The trunk's products have other row counts; that is exact
+    as long as every conv reads at most 8 channels (measured with
+    OpenBLAS on 1 and 2 threads).
     """
     img = _image_array(image)
     if img.shape[2] != net.in_channels:
         raise ValueError(f"image has {img.shape[2]} channels, "
                          f"network expects {net.in_channels}")
     h, w = img.shape[:2]
-    p = net.patch_size
+    p, s, span = net.patch_size, net.trunk_stride, net.trunk_span
     padded = pad_mirror(img, p // 2)
     band = max(_BAND_PIXELS // _PREDICT_CHUNK, -(-w // _PREDICT_CHUNK)) * _PREDICT_CHUNK
     out = np.empty((h * w, net.num_classes))
-    # holds no data: freeing it raises glibc's mmap threshold, which speeds a later training
+    # one chunk's windows; allocated once per call, and freeing it also
+    # raises glibc's mmap threshold, which speeds a later training
     block = np.empty((_PREDICT_CHUNK,) + net.trunk_shape)
     for f0 in range(0, h * w, band):
         f1 = min(f0 + band, h * w)
         r0, r1 = f0 // w, -(-f1 // w)
         maps = net.forward_trunk(padded[r0:r1 + p - 1])
+        # windows[r - r0, c] is the trunk window of the patch at (r, c)
+        windows = np.moveaxis(np.lib.stride_tricks.sliding_window_view(
+            maps, (span, span), axis=(0, 1))[:, :, :, ::s, ::s], 2, -1)
         for c0 in range(f0, f1, _PREDICT_CHUNK):
-            rows, cols = np.divmod(np.arange(c0, min(c0 + _PREDICT_CHUNK, f1)) - r0 * w, w)
-            out[c0:c0 + len(rows)] = net.forward_head(net.trunk_windows(maps, rows, cols))
+            c1 = min(c0 + _PREDICT_CHUNK, f1)
+            for r in range(c0 // w, -(-c1 // w)):
+                a, b = max(c0, r * w), min(c1, r * w + w)
+                block[a - c0:b - c0] = windows[r - r0, a - r * w:b - r * w]
+            out[c0:c1] = net.forward_head(block[:c1 - c0])
     if h * w % _PREDICT_CHUNK == 1:
         # on a one-patch chunk a trunk product can have a single row, which
         # BLAS sums as a matrix-vector product; classify that patch as such

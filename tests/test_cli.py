@@ -1,6 +1,7 @@
 """End-to-end command-line workflows and exit codes."""
 
 import argparse
+import contextlib
 import io
 import json
 import multiprocessing
@@ -8,6 +9,7 @@ import os
 import signal
 import subprocess
 import sys
+import tempfile
 import time
 import zipfile
 from dataclasses import fields
@@ -126,11 +128,17 @@ def test_predict_mrf_eval_pipeline(workspace):
 
 
 def test_predict_idempotent(workspace):
+    # one parser serves every main() call of the process; a parse that
+    # fails or exits between the two runs leaves it usable
+    assert build_parser() is build_parser()
     image = workspace / "data" / "test" / "images" / "test_000.pgm"
     a_dir, b_dir = workspace / "rerun_a", workspace / "rerun_b"
     for d in (a_dir, b_dir):
         assert main(["predict", "--checkpoint", str(workspace / "model.npz"),
                      "--image", str(image), "--out-prefix", str(d / "x")]) == 0
+        if d == a_dir:
+            assert main(["predict"]) == 1
+            assert main(["--version"]) == 0
     for name in ("x_class0.pgm", "x_class1.pgm", "x_labels.pgm"):
         assert (a_dir / name).read_bytes() == (b_dir / name).read_bytes()
 
@@ -191,16 +199,29 @@ def _npz_bytes(meta: bytes) -> bytes:
     return buf.getvalue()
 
 
+def _central_entry(raw: bytes, offset: int, value: bytes) -> bytes:
+    """``raw`` with ``value`` written at ``offset`` into its first zip
+    central directory entry."""
+    at = raw.index(b"PK\x01\x02") + offset
+    return raw[:at] + value + raw[at + len(value):]
+
+
 @pytest.mark.parametrize("content, code", [
     (b"PK\x03\x04" + bytes(range(256)), 3),
     (_npz_bytes(b"{}")[:300], 3),
     (b"", 3),
     (b"not a checkpoint\n", 3),
+    (_central_entry(_npz_bytes(b"{}"), 10, b"\x63\x00"), 3),
+    (_central_entry(_npz_bytes(b"{}"), 8, b"\x01\x00"), 3),
+    (_central_entry(_npz_bytes(b"{}"), 6, b"\x40\x00"), 3),
     (_npz_bytes(b"[1, 2]"), 1),
-], ids=["garbage_zip", "truncated_zip", "empty", "not_npz", "meta_not_object"])
+], ids=["garbage_zip", "truncated_zip", "empty", "not_npz", "compression_method",
+        "encrypted", "zip_version", "meta_not_object"])
 def test_predict_unreadable_checkpoint_exits_with_code(tmp_path, content, code):
-    # a file that is no readable npz archive is an IO error; an archive
-    # whose metadata is not a JSON object is invalid input
+    # a file that is no readable npz archive is an IO error, also one
+    # whose zip entry needs a method or version zipfile lacks or is
+    # encrypted; an archive whose metadata is not a JSON object is
+    # invalid input
     ckpt = tmp_path / "bad.npz"
     ckpt.write_bytes(content)
     img = tmp_path / "img.pgm"
@@ -208,6 +229,78 @@ def test_predict_unreadable_checkpoint_exits_with_code(tmp_path, content, code):
     assert main(["predict", "--checkpoint", str(ckpt), "--image", str(img),
                  "--out-prefix", str(tmp_path / "out" / "p")]) == code
     assert not list(tmp_path.rglob("*_class*.pgm"))
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    """Valid inputs of predict, mrf and eval: a grey PGM and an RGB PPM,
+    each with a checkpoint that reads it, a 16-bit class map and a label
+    map of the same size."""
+    root = tmp_path_factory.mktemp("fuzz")
+    specs = tuple(LayerSpec(k, s) for k, s in TINY_JSON)
+    for channels, name in ((1, "grey.npz"), (3, "rgb.npz")):
+        save_checkpoint(Network.init(specs, 9, 2, seed=channels, in_channels=channels),
+                        root / name)
+    rng = np.random.default_rng(0)
+    (root / "img.pgm").write_bytes(b"P5\n# grey\n6 5\n255\n" + rng.bytes(30))
+    (root / "img.ppm").write_bytes(b"P6\n6 5\n255\n" + rng.bytes(90))
+    write_pnm(root / "class1.pgm", rng.integers(0, 65536, (5, 6)), 65535)
+    (root / "truth").mkdir()
+    save_labels(root / "truth" / "a.pgm", rng.integers(0, 2, (5, 6)))
+    return root
+
+
+@st.composite
+def _mutated(draw, data: bytes, header: int) -> bytes:
+    """``data`` with one to three flipped bytes, truncations, or digits,
+    ``#`` or signs inserted into its first ``header`` bytes."""
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["flip", "truncate", "insert"]))
+        if not data or kind == "insert":
+            i = draw(st.integers(0, min(header, len(data))))
+            junk = draw(st.text("0123456789#+- \n", min_size=1, max_size=4))
+            data = data[:i] + junk.encode() + data[i:]
+        elif kind == "flip":
+            i = draw(st.integers(0, len(data) - 1))
+            data = data[:i] + bytes([data[i] ^ draw(st.integers(1, 255))]) + data[i + 1:]
+        else:
+            data = data[:draw(st.integers(0, len(data) - 1))]
+    return data
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_mutated_inputs_exit_with_a_code(fuzz_inputs, data):
+    # a damaged image, checkpoint or map makes predict, mrf and eval end
+    # with an exit code and a message, never with a traceback
+    root = fuzz_inputs
+    name = data.draw(st.sampled_from(["img.pgm", "img.ppm", "grey.npz"]))
+    valid = (root / name).read_bytes()
+    # a checkpoint's header: its zip entry header and the meta array's npy header
+    header = valid.index(b"}") + 1 if name.endswith(".npz") else valid.index(b"255\n") + 4
+    mutated = data.draw(_mutated(valid, header))
+    ckpt = root / ("rgb.npz" if name == "img.ppm" else "grey.npz")
+    with tempfile.TemporaryDirectory(dir=root) as tmp:
+        tmp = Path(tmp)
+        for d in ("probs", "pred"):
+            (tmp / d).mkdir()
+        bad = tmp / name
+        bad.write_bytes(mutated)
+        (tmp / "probs" / "a_class0.pgm").write_bytes(mutated)
+        (tmp / "probs" / "a_class1.pgm").write_bytes((root / "class1.pgm").read_bytes())
+        (tmp / "pred" / "a_labels.pgm").write_bytes(mutated)
+        predict = ["predict", "--checkpoint", str(bad if name == "grey.npz" else ckpt),
+                   "--image", str(root / "img.pgm" if name == "grey.npz" else bad),
+                   "--out-prefix", str(tmp / "out" / "p")]
+        mrf = ["mrf", "--probs", str(tmp / "probs"), "--beta", "1", "--out", str(tmp / "mrf")]
+        eval_ = ["eval", "--pred", str(tmp / "pred"), "--truth", str(root / "truth"),
+                 "--out", str(tmp / "eval.csv")]
+        for argv in (predict, mrf, eval_):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code in (0, 1, 2, 3) and "Traceback" not in err.getvalue(), \
+                (argv, err.getvalue())
 
 
 def test_train_config_json_round_trip():
@@ -843,6 +936,13 @@ def _cli_env() -> dict:
         filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
+def _default_sigint():
+    """Give the command the default SIGINT action, which Python turns into
+    KeyboardInterrupt: a background job of a non-interactive shell starts
+    with SIGINT ignored, and its children inherit that."""
+    signal.signal(signal.SIGINT, signal.SIG_DFL)
+
+
 def _start_long_experiment(tmp_path, iterations: int):
     """A two-job experiment with the tiny architecture in a child process,
     returned with its workers' pids once all of them run.  If they do not
@@ -855,7 +955,7 @@ def _start_long_experiment(tmp_path, iterations: int):
         "num_train": 2, "num_test": 2}))
     proc = subprocess.Popen([sys.executable, "-m", "tvseg.cli", "experiment",
                              "--config", str(cfg), "--out", str(tmp_path / "exp")],
-                            env=_cli_env(),
+                            env=_cli_env(), preexec_fn=_default_sigint,
                             stderr=subprocess.PIPE, text=True)
     expected = min(2, len(os.sched_getaffinity(0)))  # two jobs
     workers: list[str] = []
@@ -963,7 +1063,8 @@ def _start_long_train(workspace, tmp_path, iterations: int):
     command is killed and the test fails."""
     proc = subprocess.Popen(_train_argv(workspace, _train_config(tmp_path, iterations),
                                         tmp_path / "m.npz"),
-                            env=_cli_env(), stderr=subprocess.PIPE, text=True)
+                            env=_cli_env(), preexec_fn=_default_sigint,
+                            stderr=subprocess.PIPE, text=True)
     children, later, masks = [], [], None
     deadline = time.monotonic() + 60
     try:

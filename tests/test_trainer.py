@@ -349,6 +349,7 @@ def test_predict_matches_patchwise_oracle(arch, h, w, channels, seed, ties):
     ((TINY, 9, 2), (45, 46, 1)),
     ((default_specs(3), 15, 3), (47, 50, 3)),
     ((TINY, 9, 2), (5, 1001, 1)),  # a band of two chunks ends mid-row
+    ((TINY, 9, 2), (2, 2100, 1)),  # a chunk inside row 0, the next across rows 0 and 1
 ])
 def test_predict_bands_and_chunks_match_oracle(monkeypatch, band_pixels, arch, shape):
     # band_pixels 1 cuts the trunk into bands of one head chunk, which
