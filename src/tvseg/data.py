@@ -12,11 +12,18 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import check_finite, check_int_fields
+from .errors import check_finite, check_int_fields, check_num_classes
 from .pnm import PnmError, read_pnm, write_pnm
 from .rng import mix_seed
 
 UNLABELED = 255
+MAX_CLASSES = UNLABELED  # classes 0..254 leave 255 free for UNLABELED
+
+
+def check_max_classes(k: int) -> None:
+    """Accept a class count whose labels all fit a label image."""
+    if k > MAX_CLASSES:
+        raise ValueError(f"at most {MAX_CLASSES} classes fit a label image, got {k}")
 
 
 @dataclass
@@ -149,8 +156,8 @@ class SynthConfig:
         if self.height < 1 or self.width < 1:
             raise ValueError("degenerate image dimensions")
         check_finite("noise_std", self.noise_std)
-        if not 2 <= self.num_classes < UNLABELED:
-            raise ValueError(f"num_classes must be in [2, {UNLABELED - 1}]")
+        check_num_classes(self.num_classes)
+        check_max_classes(self.num_classes)
         if self.num_shapes < 0:
             raise ValueError("num_shapes must be non-negative")
         if self.channels not in (1, 3):

@@ -18,7 +18,7 @@ import numpy as np
 from .network import LayerSpec, Network
 from .rng import make_rng
 from .trainer import SUPERVISED_LOSSES, _cut, _windows, supervised_grad, unsupervised_grad
-from .tv_loss import tv_grad_image, tv_theta, tv_theta_coeffs, tv_value_image
+from .tv_loss import PROB_FLOOR, tv_grad_image, tv_theta, tv_theta_coeffs, tv_value_image
 
 # row-major forms of the two 3x3 derivative kernels, written out so the
 # oracles here do not depend on the tv_loss module's constants
@@ -174,7 +174,7 @@ def check_supervised_grads(seed: int = 0) -> list[CheckResult]:
                 onehot = np.zeros(2)
                 onehot[label] = 1.0
                 return float(((probs[0] - onehot) ** 2).sum())
-            return float(-np.log(max(probs[0, label], 1e-12)))
+            return float(-np.log(max(probs[0, label], PROB_FLOOR)))
 
         ok, worst = _grad_mismatch(grads, _fd_param_grad(net, value))
         results.append(CheckResult(f"net_supervised_{kind}_vs_fd", ok, worst))

@@ -12,38 +12,31 @@ A visit of a pixel costs each class its unary plus beta once per
 disagreeing neighbor, added in the order above, below, left, right, and
 moves the pixel to the first cheapest class only if that strictly beats
 its current cost.  A visit decides from the pixel's unary, its label and
-its neighbors' labels only.  Three rules skip visits that could not
-change a label, so the labels and the sweep count are those of visiting
-every pixel in every sweep:
+its neighbors' labels only.  Two rules skip visits that could not change
+a label, so the labels and the sweep count are those of visiting every
+pixel in every sweep:
 
-- **Frozen pixels.**  A pixel with argmax a and d neighbors is frozen
-  if u_j > fl(u_a + beta + ... + beta), with d additions, for every
-  class j != a.  Rounded addition of beta >= 0 is monotone, so a visit
-  can never cost a more than that bound nor any j less than u_j; a
-  never loses, the pixel keeps its argmax for good, and it is never
-  visited.
 - **Dirty flags.**  After a visit the pixel holds the first cheapest
   class or was left alone, so until a neighbor relabels, another visit
   would leave it alone too.  A sweep visits only pixels flagged because
   a neighbor relabelled since their last visit.  A relabel flags its
-  unfrozen neighbors: the right and lower ones come later in this
-  sweep's raster order, so they go into this sweep's flags; the left
-  and upper ones were passed already and go into the next sweep's.
-- **The start.**  While every neighbor holds a pixel's argmax a, a visit
-  adds beta to every class but a, so if u_a is also least, it keeps a.
-  The first sweep flags only the unfrozen pixels where that fails; the
-  others wait, as after a visit, for a neighbor to relabel.
+  neighbors: the right and lower ones come later in this sweep's raster
+  order, so they go into this sweep's flags; the left and upper ones
+  were passed already and go into the next sweep's.
+- **The start.**  The first sweep flags only the pixels that a visit
+  with the starting labels around them would relabel, found for all
+  pixels at once by the visit's own additions.  The others are left
+  alone by that visit, so like a visited pixel they wait for a neighbor
+  to relabel.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from .data import check_max_classes
 from .errors import check_finite, check_int_fields
-from .tv_loss import validate_prob_map
-
-_PROB_FLOOR = 1e-12
-_MAX_CLASSES = 255  # labels are uint8, and 255 is data.UNLABELED
+from .tv_loss import PROB_FLOOR, validate_prob_map
 
 
 @dataclass(frozen=True)
@@ -61,9 +54,7 @@ class MrfConfig:
 def argmax_labels(probs: np.ndarray) -> np.ndarray:
     """Most probable class per pixel; ties pick the smallest class index."""
     probs = validate_prob_map(probs)
-    if probs.shape[2] > _MAX_CLASSES:
-        raise ValueError(f"at most {_MAX_CLASSES} classes fit a label image, "
-                         f"got {probs.shape[2]}")
+    check_max_classes(probs.shape[2])
     return probs.argmax(axis=2).astype(np.uint8)
 
 
@@ -84,6 +75,21 @@ def icm_smooth(probs: np.ndarray, cfg: MrfConfig) -> np.ndarray:
     return _icm(probs, cfg)[0]
 
 
+def _start(unary: np.ndarray, labels: np.ndarray, beta: float) -> np.ndarray:
+    """The pixels that a visit with the starting ``labels`` around them
+    would relabel.  Each class's cost is its unary plus beta added once per
+    disagreeing neighbor, one addition at a time in the visit's order."""
+    cost = np.moveaxis(unary, 2, 0).copy()
+    # costs that overflow to inf compare as a visit's Python floats do
+    with np.errstate(over="ignore"):
+        for j in range(len(cost)):
+            cost[j][1:] += beta * (labels[:-1] != j)
+            cost[j][:-1] += beta * (labels[1:] != j)
+            cost[j][:, 1:] += beta * (labels[:, :-1] != j)
+            cost[j][:, :-1] += beta * (labels[:, 1:] != j)
+    return cost.min(axis=0) < np.take_along_axis(cost, labels[None], axis=0)[0]
+
+
 def _icm(probs: np.ndarray, cfg: MrfConfig) -> tuple[np.ndarray, int]:
     """The labels of ``icm_smooth`` and the number of sweeps it ran, the
     last one without a change unless ``cfg.max_iters`` cut it short."""
@@ -98,34 +104,16 @@ def _icm(probs: np.ndarray, cfg: MrfConfig) -> tuple[np.ndarray, int]:
     # never live, so its costs are never read.  Pixel p's k unary costs
     # are costs[p * k:p * k + k].  Scalar Python floats are IEEE doubles,
     # so a visit's cost is the unary plus beta added once per disagreeing
-    # neighbor, exactly as in the frozen test.
+    # neighbor, exactly as in the start set.
     bordered = np.pad(np.asarray(probs, dtype=np.float64), ((1, 1), (1, 1), (0, 0)))
-    bordered = -np.log(np.maximum(bordered, _PROB_FLOOR))
+    bordered = -np.log(np.maximum(bordered, PROB_FLOOR))
     unary = bordered[1:-1, 1:-1]
     h, w, k = unary.shape
 
-    # the frozen test: beta added once per neighbor the pixel has
-    own = np.take_along_axis(unary, labels[:, :, None], axis=2)[:, :, 0]
-    bound = own.copy()
-    bound[1:] += beta
-    bound[:-1] += beta
-    bound[:, 1:] += beta
-    bound[:, :-1] += beta
-    rival = np.full((h, w), np.inf)
-    for j in range(k):
-        rival = np.minimum(rival, np.where(labels == j, np.inf, unary[:, :, j]))
-    frozen = rival > bound
-
-    # settled pixels are those the start rule lets wait
-    padded = np.pad(labels, 1, constant_values=k)
-    settled = rival >= own
-    for near in (padded[:-2, 1:-1], padded[2:, 1:-1], padded[1:-1, :-2], padded[1:-1, 2:]):
-        settled &= (near == labels) | (near == k)
-
     stride = w + 2
-    field = bytearray(padded.tobytes())
-    live = bytearray(np.pad(~frozen, 1).tobytes())
-    dirty = bytearray(np.pad(~(frozen | settled), 1).tobytes())
+    field = bytearray(np.pad(labels, 1, constant_values=k).tobytes())
+    live = bytearray(np.pad(np.ones((h, w), bool), 1).tobytes())
+    dirty = bytearray(np.pad(_start(unary, labels, beta), 1).tobytes())
     costs = memoryview(bordered.reshape(-1))
     others = [[j for j in range(k) if j != a] for a in range(k)] + [[]]
     sweeps = 0
@@ -150,7 +138,7 @@ def _icm(probs: np.ndarray, cfg: MrfConfig) -> tuple[np.ndarray, int]:
                 field[p] = cost.index(least)  # first min wins
                 changed = True
                 # flags only ever go to live pixels, so copying the live
-                # byte sets a live neighbor's flag and leaves a frozen one's
+                # byte sets an interior neighbor's flag and leaves the border's
                 later[p - stride] = live[p - stride]
                 dirty[p + stride] = live[p + stride]
                 later[p - 1] = live[p - 1]

@@ -578,17 +578,26 @@ def load_checkpoint(path) -> Network:
     """Read a checkpoint written by ``save_checkpoint``.
 
     A file that is not a readable npz archive raises OSError; an archive
-    whose metadata or parameters are invalid raises ValueError.
+    that lacks a member, or whose metadata or parameters are invalid,
+    raises ValueError.  Every message names ``path``.
     """
+    with open(path, "rb") as fh:
+        try:
+            with np.load(fh, allow_pickle=False) as data:
+                members = {name: data[name] for name in ("meta", "params") if name in data}
+        # zipfile raises NotImplementedError for an unknown compression method
+        # or zip version, RuntimeError for an encrypted entry, and a
+        # decompressor's OSError for a damaged stream
+        except (zipfile.BadZipFile, EOFError, ValueError, NotImplementedError,
+                RuntimeError, OSError) as exc:
+            raise OSError(f"{path}: unreadable checkpoint: {exc}") from exc
+    missing = [name for name in ("meta", "params") if name not in members]
+    if missing:
+        raise ValueError(f"{path}: checkpoint archive lacks {', '.join(missing)}")
     try:
-        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as data:
-            raw_meta, raw_params = bytes(data["meta"]), data["params"]
-    # zipfile raises NotImplementedError for an unknown compression method
-    # or zip version, and RuntimeError for an encrypted entry
-    except (zipfile.BadZipFile, EOFError, ValueError, NotImplementedError,
-            RuntimeError) as exc:
-        raise OSError(f"{path}: unreadable checkpoint: {exc}") from exc
-    meta = json.loads(raw_meta.decode("utf-8"))
+        meta = json.loads(bytes(members["meta"]).decode("utf-8"))
+    except ValueError as exc:
+        raise ValueError(f"{path}: checkpoint metadata is not JSON: {exc}") from exc
     if not isinstance(meta, dict):
         raise ValueError(f"{path}: checkpoint metadata must be a JSON object")
     missing = [name for name in _CHECKPOINT_META if name not in meta]
@@ -600,9 +609,15 @@ def load_checkpoint(path) -> Network:
             check_int(f"{path}: checkpoint metadata field {name}", meta[name])
     if meta["version"] != CHECKPOINT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {meta['version']!r}")
-    params = np.array(raw_params, dtype=np.float64)
+    params = members["params"]
+    # save_checkpoint writes params as one float64 vector, and nothing else is cast
+    if params.dtype != np.float64 or params.ndim != 1:
+        raise ValueError(f"{path}: checkpoint parameters must be a 1-d float64 array")
     if not np.isfinite(params).all():
         raise ValueError(f"{path}: checkpoint holds non-finite parameters")
     attrs = {name: meta[name] for name in _CHECKPOINT_META if name not in ("version", "specs")}
     specs = specs_from_json(meta["specs"], f"{path}: checkpoint metadata field specs")
-    return Network(specs, params=params, **attrs)
+    try:
+        return Network(specs, params=params, **attrs)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

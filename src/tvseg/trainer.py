@@ -39,11 +39,9 @@ from .data import LabeledImage, SparseLabelSet, pad_mirror
 from .errors import NumericalError, check_finite, check_int_fields, check_num_classes
 from .network import LayerSpec, Network, default_specs, sgd_step
 from .rng import ROLE_INIT, ROLE_SUP_DRAW, ROLE_UNSUP_DRAW, make_rng, mix_seed
-from .tv_loss import _sobel, _subgradient
+from .tv_loss import PROB_FLOOR, _sobel, _subgradient
 
 SUPERVISED_LOSSES = ("mse", "cross_entropy")
-
-_PROB_FLOOR = 1e-12  # clamp for log/reciprocal of tiny probabilities
 
 _PREDICT_CHUNK = 2048  # pixels per head forward pass in predict_image
 _BAND_PIXELS = 1 << 17  # output pixels per trunk band in predict_image
@@ -115,7 +113,7 @@ def _loss_and_grad_out(probs: np.ndarray, labels: np.ndarray, kind: str):
     if kind == "mse":
         diff = probs - onehot
         return (diff ** 2).sum(axis=1), 2.0 * diff
-    p_true = np.maximum(probs[np.arange(b), labels], _PROB_FLOOR)
+    p_true = np.maximum(probs[np.arange(b), labels], PROB_FLOOR)
     grad = np.zeros((b, k))
     grad[np.arange(b), labels] = -1.0 / p_true
     return -np.log(p_true), grad

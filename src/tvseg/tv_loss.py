@@ -28,6 +28,8 @@ SOBEL_Y = np.array([[-1.0, 0.0, 1.0],
 SOBEL_X_VEC = SOBEL_X.ravel().copy()
 SOBEL_Y_VEC = SOBEL_Y.ravel().copy()
 
+PROB_FLOOR = 1e-12  # the least probability whose log or reciprocal is taken
+
 
 def _sobel(windows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Gx and Gy of row-major (..., 9) windows."""

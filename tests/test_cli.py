@@ -193,10 +193,21 @@ def test_predict_bad_checkpoint_writes_nothing(tmp_path, value):
     assert not out.exists() or not any(out.iterdir())
 
 
-def _npz_bytes(meta: bytes) -> bytes:
+def _npz_bytes(meta: bytes | None, params=np.zeros(3)) -> bytes:
+    """An npz archive of ``meta`` as bytes, left out if None, and ``params``."""
+    arrays = {"params": params}
+    if meta is not None:
+        arrays["meta"] = np.frombuffer(meta, dtype=np.uint8)
     buf = io.BytesIO()
-    np.savez(buf, meta=np.frombuffer(meta, dtype=np.uint8), params=np.zeros(3))
+    np.savez(buf, **arrays)
     return buf.getvalue()
+
+
+# the metadata save_checkpoint writes for the tiny grey network, and its
+# parameter count
+_TINY_META = json.dumps({"version": 1, "specs": TINY_JSON, "patch_size": 9, "num_classes": 2,
+                         "in_channels": 1, "seed": None}).encode()
+_TINY_PARAMS = Network(tuple(LayerSpec(k, s) for k, s in TINY_JSON), 9, 2).params.size
 
 
 def _central_entry(raw: bytes, offset: int, value: bytes) -> bytes:
@@ -214,20 +225,29 @@ def _central_entry(raw: bytes, offset: int, value: bytes) -> bytes:
     (_central_entry(_npz_bytes(b"{}"), 10, b"\x63\x00"), 3),
     (_central_entry(_npz_bytes(b"{}"), 8, b"\x01\x00"), 3),
     (_central_entry(_npz_bytes(b"{}"), 6, b"\x40\x00"), 3),
+    (_central_entry(_npz_bytes(b"{}"), 10, b"\x0c\x00"), 3),
     (_npz_bytes(b"[1, 2]"), 1),
+    (_npz_bytes(None), 1),
+    (_npz_bytes(_TINY_META, np.zeros(_TINY_PARAMS, complex)), 1),
+    (_npz_bytes(_TINY_META, np.full(_TINY_PARAMS, "1")), 1),
+    (_npz_bytes(_TINY_META, np.ones(_TINY_PARAMS, bool)), 1),
 ], ids=["garbage_zip", "truncated_zip", "empty", "not_npz", "compression_method",
-        "encrypted", "zip_version", "meta_not_object"])
-def test_predict_unreadable_checkpoint_exits_with_code(tmp_path, content, code):
+        "encrypted", "zip_version", "bzip2_stream", "meta_not_object", "no_meta",
+        "complex_params", "string_params", "bool_params"])
+def test_predict_unreadable_checkpoint_exits_with_code(tmp_path, capsys, content, code):
     # a file that is no readable npz archive is an IO error, also one
-    # whose zip entry needs a method or version zipfile lacks or is
-    # encrypted; an archive whose metadata is not a JSON object is
-    # invalid input
+    # whose zip entry needs a method or version zipfile lacks, is
+    # encrypted, or fails to decompress; an archive without metadata,
+    # whose metadata is not a JSON object, or whose params are not the
+    # float64 vector save_checkpoint writes is invalid input.  Each
+    # message names the file
     ckpt = tmp_path / "bad.npz"
     ckpt.write_bytes(content)
     img = tmp_path / "img.pgm"
     img.write_bytes(b"P5\n4 3\n255\n" + bytes(range(12)))
     assert main(["predict", "--checkpoint", str(ckpt), "--image", str(img),
                  "--out-prefix", str(tmp_path / "out" / "p")]) == code
+    assert str(ckpt) in capsys.readouterr().err
     assert not list(tmp_path.rglob("*_class*.pgm"))
 
 

@@ -187,6 +187,15 @@ def test_synth_dataset_distinct_images():
     assert not np.array_equal(imgs["t_000"].image, imgs["t_001"].image)
 
 
+def test_synth_takes_as_many_classes_as_a_label_image():
+    # classes 0..254 fit a label image beside UNLABELED, as argmax_labels,
+    # SparseLabelSet and save_labels take them
+    li = synth_generate(SynthConfig(height=32, width=32, num_classes=255, num_shapes=40, seed=4))
+    assert 0 < li.labels.max() <= 254
+    with pytest.raises(ValueError, match="at most 255 classes"):
+        SynthConfig(num_classes=256)
+
+
 def test_synth_config_validation():
     with pytest.raises(ValueError):
         SynthConfig(height=0)

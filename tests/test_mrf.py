@@ -157,40 +157,64 @@ def test_icm_matches_array_oracle():
     assert capped and uncapped
 
 
-def _prob_for_cost(target):
-    """The probability near exp(-target) whose negative log comes closest
-    to ``target``; within a few ulps one usually hits it exactly."""
-    guess = np.exp(-target)
+def _added(cost, beta, n):
+    """``cost`` plus beta added ``n`` times, one rounding each, as a visit adds."""
+    for _ in range(n):
+        cost = cost + beta
+    return cost
+
+
+def _prob_for_cost(target, beta, n):
+    """The probability whose negative log, taken as ``icm_smooth`` takes it,
+    plus beta added ``n`` times comes closest to ``target``; within a few
+    ulps of the first guess one usually hits it exactly."""
+    guess = np.exp(-(target - n * beta))
     candidates = guess + np.arange(-8, 9) * np.spacing(guess)
-    return candidates[np.abs(-np.log(candidates) - target).argmin()]
+    return candidates[np.abs(_added(-np.log(candidates), beta, n) - target).argmin()]
 
 
-# where a pixel's two strongest classes a and j sit: u_j at the frozen
-# bound fl(u_a + beta + ... + beta) (one beta per neighbor), one ulp
-# below or above it, an exact tie, or anywhere
+# where a pixel's argmax a and a rival class j sit under the starting
+# labels: j's cost (its unary plus one beta per neighbor whose label is
+# not j) one ulp below, at or one ulp above a's cost, an exact unary tie,
+# or anywhere
 _KINDS = ("below", "at", "above", "tie", "free")
 
 
 def _margin_map(rng, h, w, k, beta, kinds):
     p = rng.dirichlet(np.ones(k), (h, w))
-    for (r, c), kind in zip(np.ndindex(h, w), kinds):
+    kinds = dict(zip(np.ndindex(h, w), kinds))
+    # first pass: fix the argmax field, moving a margin pixel's largest
+    # probability to a class a of its own
+    for (r, c), kind in kinds.items():
+        if kind != "free":
+            a, top = rng.integers(k), p[r, c].argmax()
+            p[r, c, [a, top]] = p[r, c, [top, a]]
+    labels = p.argmax(axis=2)
+    # second pass: a rival j whose cost from those labels can meet a's
+    # while its unary stays above a's (or ties it from a larger index),
+    # so the argmax field stays as it is
+    for (r, c), kind in kinds.items():
         if kind == "free":
             continue
-        degree = 4 - (r == 0) - (r == h - 1) - (c == 0) - (c == w - 1)
-        a, j = rng.choice(k, 2, replace=False)
+        a = labels[r, c]
+        near = [labels[r + dr, c + dc] for dr, dc in ((-1, 0), (1, 0), (0, -1), (0, 1))
+                if 0 <= r + dr < h and 0 <= c + dc < w]
+        n = [sum(x != j for x in near) for j in range(k)]
+        rivals = [j for j in range(k) if (j > a if kind == "tie" else n[j] < n[a])]
+        if not rivals:
+            continue
+        j = rng.choice(rivals)
         rest = rng.uniform(0.0, 0.2) if k > 2 else 0.0
         q = np.full(k, rest / max(k - 2, 1))
         if kind == "tie":
             q[a] = q[j] = (1 - rest) / 2
         else:
-            q[j] = (1 - rest) / (1 + np.exp(degree * beta))
+            q[j] = (1 - rest) / (1 + np.exp((n[a] - n[j]) * beta))
             q[a] = 1 - rest - q[j]
-            bound = -np.log(q[a:a + 1])[0]  # an array's log, as icm_smooth takes it
-            for _ in range(degree):
-                bound += beta
+            target = _added(-np.log(q[a:a + 1])[0], beta, n[a])  # an array's log
             if kind != "at":
-                bound = np.nextafter(bound, np.inf if kind == "above" else -np.inf)
-            q[j] = _prob_for_cost(bound)
+                target = np.nextafter(target, np.inf if kind == "above" else -np.inf)
+            q[j] = _prob_for_cost(target, beta, n[j])
         p[r, c] = q
     return p
 
@@ -199,10 +223,11 @@ def _margin_map(rng, h, w, k, beta, kinds):
 @given(st.data(), st.integers(1, 19), st.integers(1, 19), st.integers(2, 4),
        st.one_of(st.just(0.0), st.floats(0.05, 4.0)), st.integers(1, 10),
        st.integers(0, 2**32 - 1))
-def test_icm_at_the_frozen_margin_matches_both_oracles(data, h, w, k, beta, iters, seed):
-    # a pixel whose runner-up class lies one ulp inside the frozen bound can
-    # still relabel, and one on or outside it never does; skipping either
-    # wrongly, or missing a neighbor's relabel, changes labels or sweeps
+def test_icm_at_the_start_margin_matches_both_oracles(data, h, w, k, beta, iters, seed):
+    # a pixel whose rival class costs one ulp less than its argmax under
+    # the starting labels must be visited first, and one that costs the
+    # same or one ulp more need not be; a start set that misses the one,
+    # or a missed relabel of a neighbor later, changes labels or sweeps
     kinds = data.draw(st.lists(st.sampled_from(_KINDS), min_size=h * w,
                                max_size=h * w))
     p = _margin_map(np.random.default_rng(seed), h, w, k, beta, kinds)
@@ -211,6 +236,17 @@ def test_icm_at_the_frozen_margin_matches_both_oracles(data, h, w, k, beta, iter
     assert got.tobytes() == want.tobytes()
     assert got.tobytes() == icm_labels(p, beta, iters).tobytes()
     assert sweeps == want_sweeps
+
+
+@pytest.mark.parametrize("beta", [1e308, 1.7e308])
+def test_icm_at_overflowing_beta_matches_the_loop(beta):
+    # two or more betas overflow to inf, silently in a visit's Python
+    # floats and without a warning in the start set, and inf costs compare
+    # alike in both
+    p = _random_map(np.random.default_rng(8), 5, 6, 3)
+    got, sweeps = _icm(p, MrfConfig(beta=beta, max_iters=3))
+    want, want_sweeps = icm_loop(p, beta, 3)
+    assert got.tobytes() == want.tobytes() and sweeps == want_sweeps
 
 
 _LARGE_ICM = """
